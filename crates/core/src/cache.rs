@@ -78,6 +78,13 @@ pub struct LhrConfig {
     pub name: Option<&'static str>,
 }
 
+/// Worker threads for the fits and batch scoring that run on a serving
+/// thread (the bootstrap and inline retrains, the threshold evaluation).
+/// The engine already runs one serving thread per core, so these stay
+/// single-threaded; the fitted model and scores are identical at any
+/// thread count. Background fits use `LhrConfig::gbm.threads`.
+const INLINE_THREADS: usize = 1;
+
 impl Default for LhrConfig {
     fn default() -> Self {
         LhrConfig {
@@ -139,15 +146,15 @@ impl LhrConfig {
     }
 }
 
+/// One cached object, stored in the dense slot array the eviction sampler
+/// draws from.
 #[derive(Debug, Clone, Copy)]
 struct CachedEntry {
+    id: ObjectId,
     size: u64,
     /// Learned admission probability — the paper's ℒ vector entry.
     prob: f64,
     last_access: Time,
-    /// Index into `dense` (the eviction sampler's id array), fused into
-    /// the entry so eviction maintains one map instead of two.
-    pos: usize,
 }
 
 /// Counters exposed for the §7.4 ablation study (Figure 10) and Figure 9.
@@ -172,8 +179,11 @@ pub struct LhrCache {
     config: LhrConfig,
     display_name: &'static str,
 
-    entries: FastMap<ObjectId, CachedEntry>,
-    dense: Vec<ObjectId>,
+    /// Cached object → its slot in `dense`.
+    entries: FastMap<ObjectId, usize>,
+    /// The cached objects, densely packed: sampled eviction reads slots
+    /// directly instead of probing `entries` once per candidate.
+    dense: Vec<CachedEntry>,
 
     features: FeatureStore,
     window: WindowTracker,
@@ -182,9 +192,6 @@ pub struct LhrCache {
     /// `features.n_features()` columns, reused window to window so the
     /// steady-state serve path never allocates per request.
     window_rows: Vec<f32>,
-    /// Learned probabilities aligned with the window's requests (threshold
-    /// estimation inputs).
-    window_probs: Vec<f64>,
     /// Labeled samples of recently completed windows, newest last:
     /// `(flat row matrix, labels)` per window.
     labeled_history: std::collections::VecDeque<(Vec<f32>, Vec<f32>)>,
@@ -216,7 +223,6 @@ impl LhrCache {
             features: FeatureStore::new(config.n_irts),
             window: WindowTracker::with_min_requests(target, config.min_window_requests),
             window_rows: Vec::new(),
-            window_probs: Vec::new(),
             labeled_history: std::collections::VecDeque::new(),
             model: None,
             trainer: ShadowTrainer::default(),
@@ -279,11 +285,11 @@ impl LhrCache {
         let n = self.dense.len();
         let k = self.config.eviction_sample.min(n).max(1);
         let delta = self.threshold.delta;
-        let mut best_candidate: Option<(f64, ObjectId)> = None;
-        let mut best_any: Option<(f64, ObjectId)> = None;
+        let mut best_candidate: Option<(f64, usize)> = None;
+        let mut best_any: Option<(f64, usize)> = None;
         for _ in 0..k {
-            let id = self.dense[self.rng.gen_range(0..n)];
-            let e = &self.entries[&id];
+            let slot = self.rng.gen_range(0..n);
+            let e = &self.dense[slot];
             let q = match self.config.eviction_rule {
                 EvictionRule::QSizeIrt => {
                     let irt1 = now.saturating_sub(e.last_access).as_secs_f64().max(1e-6);
@@ -292,20 +298,18 @@ impl LhrCache {
                 EvictionRule::MinP => e.prob,
             };
             if e.prob < delta && best_candidate.is_none_or(|(bq, _)| q < bq) {
-                best_candidate = Some((q, id));
+                best_candidate = Some((q, slot));
             }
             if best_any.is_none_or(|(bq, _)| q < bq) {
-                best_any = Some((q, id));
+                best_any = Some((q, slot));
             }
         }
-        let victim = best_candidate.or(best_any).expect("k >= 1").1;
-        let entry = self.entries.remove(&victim).expect("sampled from cache");
-        self.used -= entry.size;
-        let pos = entry.pos;
-        self.dense.swap_remove(pos);
-        if pos < self.dense.len() {
-            let moved = self.dense[pos];
-            self.entries.get_mut(&moved).expect("indexed").pos = pos;
+        let slot = best_candidate.or(best_any).expect("k >= 1").1;
+        let victim = self.dense.swap_remove(slot);
+        self.entries.remove(&victim.id);
+        self.used -= victim.size;
+        if let Some(moved) = self.dense.get(slot) {
+            *self.entries.get_mut(&moved.id).expect("indexed") = slot;
         }
         self.evictions += 1;
     }
@@ -314,17 +318,66 @@ impl LhrCache {
         while self.used + req.size > self.capacity {
             self.evict_one(req.ts);
         }
-        self.entries.insert(
-            req.id,
-            CachedEntry {
-                size: req.size,
-                prob,
-                last_access: req.ts,
-                pos: self.dense.len(),
-            },
-        );
-        self.dense.push(req.id);
+        self.entries.insert(req.id, self.dense.len());
+        self.dense.push(CachedEntry {
+            id: req.id,
+            size: req.size,
+            prob,
+            last_access: req.ts,
+        });
         self.used += req.size;
+    }
+
+    /// Serves one request; `slot` is `req.id`'s slot in `dense` when it
+    /// is cached. Nothing before the cache decision admits or evicts, so
+    /// the slot stays valid until it is used.
+    fn serve(&mut self, req: &Request, slot: Option<usize>) -> Outcome {
+        // 1. Window bookkeeping first: the index it reports is the one the
+        //    feature history records (the next window's when this request
+        //    closes the current one).
+        let completed = self.window.observe(req);
+        let window_idx = self.window.current_index();
+
+        // 2. Features as of this request (IRT₁ = time since the previous
+        //    one), rendered in place onto the tail of the window's flat row
+        //    matrix — training inputs if this window triggers a retrain —
+        //    and the request recorded, in one feature-store probe. No
+        //    per-request allocation: the matrix only grows while a window
+        //    is larger than every one before it.
+        let n_feat = self.features.n_features();
+        let start = self.window_rows.len();
+        self.window_rows.resize(start + n_feat, f32::NAN);
+        self.features.row_and_record(
+            req.id,
+            req.size,
+            req.ts,
+            window_idx,
+            &mut self.window_rows[start..],
+        );
+        let prob = self.predict(&self.window_rows[start..]);
+
+        // 3. Cache decision (§4.1's four cases).
+        let outcome = if let Some(slot) = slot {
+            // Cases (i)/(ii): update ℒ; candidacy (p < δ) is re-derived at
+            // eviction time from the stored probability.
+            let entry = &mut self.dense[slot];
+            entry.prob = prob;
+            entry.last_access = req.ts;
+            Outcome::Hit
+        } else if prob >= self.threshold.delta && req.size <= self.capacity {
+            // Case (iii): admit.
+            self.admit(req, prob);
+            Outcome::MissAdmitted
+        } else {
+            // Case (iv): discard.
+            Outcome::MissBypassed
+        };
+
+        // 4. End-of-window work happens after the request is served.
+        if let Some(done) = completed {
+            self.finalize_window(done);
+        }
+        outcome
     }
 
     /// Window finalization: shadow-model install → detection →
@@ -437,10 +490,11 @@ impl LhrCache {
             // The shadow evaluation pairs *every* window request with its
             // feature row (the full `rows`, not the subsampled training
             // copy) and the fresh model's probabilities — batched (and
-            // thread-parallel) instead of row-at-a-time.
+            // single-threaded: see `INLINE_THREADS`) instead of
+            // row-at-a-time.
             let row_refs: Vec<&[f32]> = rows.chunks_exact(n_feat).collect();
             let probs: Vec<f64> = match &self.model {
-                Some(model) => model.score_admissions(&row_refs, self.config.gbm.threads),
+                Some(model) => model.score_admissions(&row_refs, INLINE_THREADS),
                 None => vec![1.0; row_refs.len()],
             };
             let shadow: Vec<ShadowRequest> = done
@@ -450,12 +504,11 @@ impl LhrCache {
                 .map(|(&(ts, id, size), prob)| ShadowRequest { ts, id, size, prob })
                 .collect();
             let mut snapshot: Vec<(ObjectId, f64, u64, Time)> = self
-                .entries
+                .dense
                 .iter()
-                .map(|(&id, e)| (id, e.prob, e.size, e.last_access))
+                .map(|e| (e.id, e.prob, e.size, e.last_access))
                 .collect();
-            // Map iteration order is arbitrary (FastMap pins it per
-            // process, but it still depends on insertion history); the
+            // Slot order depends on admission and eviction history; the
             // shadow's truncation-at-capacity depends on order, so sort.
             snapshot.sort_unstable_by_key(|&(id, ..)| id);
             let old_delta = self.threshold.delta;
@@ -479,7 +532,6 @@ impl LhrCache {
             obs.gauge_set("lhr.threshold", self.threshold.delta);
         }
 
-        self.window_probs.clear();
         // Keep feature history for a few windows back (§5.1).
         self.features.prune_before(done.index.saturating_sub(3));
         // Hand buffers back for reuse: the row matrix keeps its capacity,
@@ -529,8 +581,12 @@ impl LhrCache {
     fn train(&mut self) -> Option<(usize, f64)> {
         let data = self.build_train_data()?;
         let n_rows = data.n_rows();
+        let params = GbmParams {
+            threads: INLINE_THREADS,
+            ..self.config.gbm.clone()
+        };
         let t0 = std::time::Instant::now();
-        self.model = Some(Gbm::fit_traced(&data, &self.config.gbm, self.obs.as_ref()));
+        self.model = Some(Gbm::fit_traced(&data, &params, self.obs.as_ref()));
         let wall_secs = t0.elapsed().as_secs_f64();
         self.stats.train_wall_secs += wall_secs;
         self.stats.trainings += 1;
@@ -597,56 +653,15 @@ impl CachePolicy for LhrCache {
         self.entries.contains_key(&id)
     }
 
+    fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
+        // One probe: the slot found here is the one `serve` updates.
+        let slot = *self.entries.get(&req.id)?;
+        Some(self.serve(req, Some(slot)))
+    }
+
     fn handle(&mut self, req: &Request) -> Outcome {
-        // 1. Features as of this request (IRT₁ = time since previous one),
-        //    rendered in place onto the tail of the window's flat row
-        //    matrix — no per-request allocation (the matrix only grows
-        //    while a window is larger than every one before it).
-        let n_feat = self.features.n_features();
-        let start = self.window_rows.len();
-        self.window_rows.resize(start + n_feat, f32::NAN);
-        if !self
-            .features
-            .row_into(req.id, req.ts, &mut self.window_rows[start..])
-        {
-            // Cold row for a first sighting: size + zero count/age; the
-            // IRT columns stay NaN from the resize fill.
-            let row = &mut self.window_rows[start..];
-            row[0] = (req.size.max(1) as f32).ln();
-            row[1] = 0.0; // ln(1 + 0 prior requests)
-            row[2] = (1e-6f32).ln(); // zero age
-        }
-        let prob = self.predict(&self.window_rows[start..]);
-
-        // 2. Window bookkeeping (the rows feed training if this window
-        //    triggers a retrain).
-        self.window_probs.push(prob);
-        let completed = self.window.observe(req);
-        let window_idx = self.window.current_index();
-        self.features.record(req.id, req.size, req.ts, window_idx);
-
-        // 3. Cache decision (§4.1's four cases).
-        let delta = self.threshold.delta;
-        let outcome = if let Some(entry) = self.entries.get_mut(&req.id) {
-            // Cases (i)/(ii): update ℒ; candidacy (p < δ) is re-derived at
-            // eviction time from the stored probability.
-            entry.prob = prob;
-            entry.last_access = req.ts;
-            Outcome::Hit
-        } else if prob >= delta && req.size <= self.capacity {
-            // Case (iii): admit.
-            self.admit(req, prob);
-            Outcome::MissAdmitted
-        } else {
-            // Case (iv): discard.
-            Outcome::MissBypassed
-        };
-
-        // 4. End-of-window work happens after the request is served.
-        if let Some(done) = completed {
-            self.finalize_window(done);
-        }
-        outcome
+        let slot = self.entries.get(&req.id).copied();
+        self.serve(req, slot)
     }
 
     fn evictions(&self) -> u64 {

@@ -38,7 +38,6 @@ pub struct WindowTracker {
     target_unique_bytes: u64,
     min_requests: usize,
     current: WindowData,
-    sizes: FastMap<ObjectId, u64>,
     /// A recycled window shell (cleared vectors/maps with their capacity
     /// intact) handed back via [`WindowTracker::recycle`]; reused when the
     /// next window opens so steady-state replay does not allocate fresh
@@ -70,7 +69,6 @@ impl WindowTracker {
             target_unique_bytes,
             min_requests,
             current: Self::empty_window(0),
-            sizes: FastMap::default(),
             spare: None,
         }
     }
@@ -137,7 +135,6 @@ impl WindowTracker {
         *count += 1;
         if *count == 1 {
             self.current.unique_bytes += req.size;
-            self.sizes.insert(req.id, req.size);
         }
         if self.current.unique_bytes >= self.target_unique_bytes
             && self.current.requests.len() >= self.effective_min_requests()
@@ -145,7 +142,6 @@ impl WindowTracker {
             let next_index = self.current.index + 1;
             let next = self.next_window(next_index);
             let done = std::mem::replace(&mut self.current, next);
-            self.sizes.clear();
             Some(done)
         } else {
             None
@@ -159,8 +155,7 @@ impl WindowTracker {
 
     /// Approximate metadata footprint in bytes.
     pub fn overhead_bytes(&self) -> u64 {
-        (self.current.requests.len() * 24 + self.current.counts.len() * 16 + self.sizes.len() * 16)
-            as u64
+        (self.current.requests.len() * 24 + self.current.counts.len() * 16) as u64
     }
 }
 

@@ -68,7 +68,9 @@ pub struct GbmParams {
     /// inside [`Gbm::fit`]; `0` auto-detects
     /// (`std::thread::available_parallelism`). The fitted model is
     /// byte-identical for every thread count — see the ordered reduction
-    /// in `tree::search_node`.
+    /// in `tree::search_node`. It governs background and standalone fits;
+    /// an LHR cache fitting or scoring on its own serving thread runs
+    /// single-threaded, because the serving engine already owns the cores.
     pub threads: usize,
 }
 

@@ -9,8 +9,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
 
-echo "==> cargo test"
-cargo test -q --offline --workspace
+# Tests run at harness parallelism 1 and at one thread per CPU: a test
+# that leans on process-global state (the counting allocator in
+# tests/alloc.rs, say) must pass both alone and beside its neighbours.
+host_cpus="$(nproc)"
+for test_threads in 1 "$host_cpus"; do
+  echo "==> cargo test (RUST_TEST_THREADS=$test_threads)"
+  RUST_TEST_THREADS="$test_threads" cargo test -q --offline --workspace
+done
 
 echo "==> cargo test --doc"
 cargo test -q --doc --offline --workspace

@@ -7,9 +7,10 @@
 //!
 //! This file is its own test binary because `#[global_allocator]` is
 //! process-wide; keeping it out of the other integration suites means
-//! their allocation patterns can't pollute the counters (tests here still
-//! share the process, so counters are read as deltas around the measured
-//! loop, single-threaded).
+//! their allocation patterns can't pollute the counters. The tests here
+//! still share the process, and the harness runs them concurrently, so
+//! each holds [`QUIET`] for its whole body: the counter is read as a delta
+//! around the measured loop while no other test allocates.
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::policies::Lru;
@@ -18,6 +19,7 @@ use lhr_repro::trace::synth::{IrmConfig, SizeModel};
 use lhr_repro::trace::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Counts every allocator entry point; frees are not counted (a free in
 /// steady state is fine, a fresh allocation is the regression).
@@ -50,6 +52,19 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Serializes the tests of this binary: the allocation counter is
+/// process-wide, so one test's allocations would land in the other's
+/// measured delta.
+static QUIET: Mutex<()> = Mutex::new(());
+
+/// Takes [`QUIET`]; a test that panicked while holding it leaves nothing
+/// behind that matters, so poisoning is ignored.
+fn quiet() -> MutexGuard<'static, ()> {
+    QUIET
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// A fixed-population Zipf trace: every measured request re-references an
 /// object seen during the warm pass, so steady state adds no new keys.
 fn fixed_population_trace(seed: u64, n_objects: usize, n_requests: usize) -> Trace {
@@ -62,6 +77,7 @@ fn fixed_population_trace(seed: u64, n_objects: usize, n_requests: usize) -> Tra
 
 #[test]
 fn lru_steady_state_replay_is_allocation_free() {
+    let _quiet = quiet();
     let trace = fixed_population_trace(7, 4_000, 200_000);
     // Capacity holds 1/4 of the population: plenty of hits *and* constant
     // miss→evict churn, so the zero-alloc claim covers the whole handle
@@ -96,6 +112,7 @@ fn lru_steady_state_replay_is_allocation_free() {
 
 #[test]
 fn lhr_steady_state_allocates_only_at_window_boundaries() {
+    let _quiet = quiet();
     let trace = fixed_population_trace(11, 3_000, 60_000);
     // Capacity 400 objects against a 3_000-object population: the 4×
     // unique-bytes window target (6.4 MB) is crossed several times per

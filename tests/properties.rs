@@ -458,10 +458,11 @@ impl<P: CachePolicy> CachePolicy for DefaultHitCheck<P> {
     }
 }
 
-/// The single-probe `hit_check` overrides (LRU, SLRU/S4LRU, B-LRU) are
-/// observably identical to the default two-probe path: the full serving
-/// replay — fault injection, coalescing, breaker and all — produces a
-/// byte-identical stable report either way.
+/// The single-probe `hit_check` overrides (LRU, SLRU/S4LRU, B-LRU, LHR)
+/// are observably identical to the default two-probe path: the full
+/// serving replay — fault injection, coalescing, breaker and all —
+/// produces a byte-identical stable report either way. LHR runs with
+/// small windows so its model trains and scores within the short trace.
 #[test]
 fn hit_check_overrides_match_default_path_byte_identically() {
     use lhr_repro::policies::{s4lru, slru, BLru};
@@ -474,6 +475,11 @@ fn hit_check_overrides_match_default_path_byte_identically() {
             ("SLRU", Box::new(move || Box::new(slru(capacity)))),
             ("S4LRU", Box::new(move || Box::new(s4lru(capacity)))),
             ("B-LRU", Box::new(move || Box::new(BLru::new(capacity, 1 << 12)))),
+            ("LHR", Box::new(move || Box::new(LhrCache::new(capacity, LhrConfig {
+                min_window_requests: 128,
+                seed,
+                ..LhrConfig::default()
+            })))),
         ];
         for preset in ["none", "flaky"] {
             let mut config =
