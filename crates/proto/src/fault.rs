@@ -146,7 +146,6 @@ impl FaultConfig {
                 slow_rate_scale: 0.25,
                 outages: vec![(0.3 * d, 0.5 * d)],
                 slow_start_secs: 0.2 * d,
-                ..FaultConfig::default()
             },
             _ => return None,
         })

@@ -35,16 +35,18 @@
 //!   [`lhr_sim::shard::shard_seed`], and the merge runs in fixed shard
 //!   order, then fixed node order.
 
-use crate::fault::{keyed_uniform, CircuitBreaker, FaultPlan};
+use crate::fault::keyed_uniform;
 use crate::latency::LatencyModel;
-use crate::server::{kv, pct2, CdnServer, ServeOutcome, ServerConfig};
-use lhr_obs::series::{ReqSample, SeriesAcc};
+use crate::server::{
+    emit_outages, kv, set_wall_gauge, shard_config, shard_latency_capacity, CdnServer, ServeLedger,
+    ServeOutcome, ServerConfig, ShardState,
+};
 use lhr_obs::trace::TraceBuilder;
-use lhr_obs::{Event, EventKind, LogHistogram, Obs};
+use lhr_obs::{Event, EventKind, Obs};
 use lhr_policies::Lru;
 use lhr_sim::shard::{route, shard_seed, RouteConfig};
 use lhr_sim::CachePolicy;
-use lhr_trace::{ObjectId, Request, Time, Trace};
+use lhr_trace::{ObjectId, Request, Trace};
 use lhr_util::hash::{FastHasher, FastMap};
 use lhr_util::json::ToJson;
 use std::hash::Hasher;
@@ -447,6 +449,7 @@ impl FleetReport {
 }
 
 /// How one request was ultimately served.
+#[derive(Clone, Copy)]
 enum Served {
     /// Out of the routed node's own cache.
     EdgeHit,
@@ -487,40 +490,44 @@ struct NodeSlice<P> {
     errors: u64,
 }
 
-/// One shard of the whole fleet: a slice of every node's cache, the
-/// shield slice, the peer-hint table, and the accumulators — all owned
-/// by exactly one worker (see the module docs).
-struct FleetShard<P: CachePolicy> {
-    nodes: Vec<NodeSlice<P>>,
-    shield: CdnServer<Lru>,
-    plan: FaultPlan,
-    breaker: CircuitBreaker,
-    in_flight: FastMap<ObjectId, (Time, bool)>,
-    /// `id → (node that last filled it, publish time)`.
-    hints: FastMap<ObjectId, (u32, f64)>,
-    retries: u64,
-    compute_ms: f64,
-    latencies: Vec<f64>,
-    bytes_served: u128,
+/// Fleet-only counters over measured requests; everything else a fleet
+/// shard books goes through its [`ServeLedger`].
+#[derive(Default)]
+struct FleetTally {
+    /// Bytes served from fleet RAM (edge hits + peer fetches).
     bytes_hit: u128,
-    wan_bytes: u128,
     edge_hits: u64,
     peer_hits: u64,
     shield_hits: u64,
     shield_lookups: u64,
-    errors: u64,
     unrouted: u64,
     failovers: u64,
-    stale_served: u64,
-    coalesced: u64,
-    measured: u64,
-    seen: u64,
-    peak_meta: u64,
-    obs: Option<Obs>,
-    acc: Option<SeriesAcc>,
-    lat_hist: LogHistogram,
-    last_opens: u64,
-    last_closes: u64,
+}
+
+impl FleetTally {
+    fn add(&mut self, other: &FleetTally) {
+        self.bytes_hit += other.bytes_hit;
+        self.edge_hits += other.edge_hits;
+        self.peer_hits += other.peer_hits;
+        self.shield_hits += other.shield_hits;
+        self.shield_lookups += other.shield_lookups;
+        self.unrouted += other.unrouted;
+        self.failovers += other.failovers;
+    }
+}
+
+/// One shard of the whole fleet: a slice of every node's cache, the
+/// shield slice with its origin state and the shard's ledger, and the
+/// peer-hint table — all owned by exactly one worker (see the module
+/// docs). The ledger books a request as a hit when the fleet served it
+/// from RAM (edge or peer); a shield hit is still an edge miss.
+struct FleetShard<P: CachePolicy> {
+    nodes: Vec<NodeSlice<P>>,
+    shield: CdnServer<Lru>,
+    state: ShardState,
+    /// `id → (node that last filled it, publish time)`.
+    hints: FastMap<ObjectId, (u32, f64)>,
+    tally: FleetTally,
 }
 
 impl<P: CachePolicy> FleetShard<P> {
@@ -552,7 +559,7 @@ impl<P: CachePolicy> FleetShard<P> {
         if self.nodes[n].epoch != epoch {
             self.nodes[n].epoch = epoch;
             if ctx.faults.cold_restart {
-                let fresh = (ctx.build)(n, s, ctx.node_capacity, self.obs.as_ref());
+                let fresh = (ctx.build)(n, s, ctx.node_capacity, self.state.ledger.obs());
                 self.nodes[n].policy = fresh;
             }
         }
@@ -572,20 +579,15 @@ impl<P: CachePolicy> FleetShard<P> {
                 vec![kv("node", n as u64), kv("hit", hit)],
             );
         }
+        let ram_hit = |latency_ms: f64| ServeOutcome {
+            latency_ms,
+            service_ms: ctx.lat.service_ms(req.size, true, 0.0),
+            hit: true,
+            ..ServeOutcome::default()
+        };
         if hit {
-            return (
-                ServeOutcome {
-                    latency_ms: ctx.lat.hit_latency_ms(req.size, 0.0),
-                    service_ms: ctx.lat.service_ms(req.size, true, 0.0),
-                    wan: 0,
-                    hit: true,
-                    stale: false,
-                    error: false,
-                    coalesced: false,
-                    degraded: false,
-                },
-                Served::EdgeHit,
-            );
+            let latency_ms = ctx.lat.hit_latency_ms(req.size, 0.0);
+            return (ram_hit(latency_ms), Served::EdgeHit);
         }
 
         // Peer hint: a ring peer recently filled this object — fetch it
@@ -608,19 +610,8 @@ impl<P: CachePolicy> FleetShard<P> {
                     );
                 }
                 if usable {
-                    return (
-                        ServeOutcome {
-                            latency_ms: ctx.lat.hit_latency_ms(req.size, 0.0) + ctx.lat.edge_rtt_ms,
-                            service_ms: ctx.lat.service_ms(req.size, true, 0.0),
-                            wan: 0,
-                            hit: true,
-                            stale: false,
-                            error: false,
-                            coalesced: false,
-                            degraded: false,
-                        },
-                        Served::Peer(owner),
-                    );
+                    let latency_ms = ctx.lat.hit_latency_ms(req.size, 0.0) + ctx.lat.edge_rtt_ms;
+                    return (ram_hit(latency_ms), Served::Peer(owner));
                 }
                 // Stale hint (expired, peer down, or evicted): drop it
                 // so the next miss doesn't re-probe.
@@ -637,15 +628,7 @@ impl<P: CachePolicy> FleetShard<P> {
             tb.advance(ctx.lat.edge_rtt_ms);
             tb.push("shield_lookup", req.size, vec![kv("node", n as u64)]);
         }
-        let mut so = self.shield.serve(
-            req,
-            &mut self.plan,
-            &mut self.breaker,
-            &mut self.in_flight,
-            &mut self.retries,
-            &mut self.compute_ms,
-            tb,
-        );
+        let mut so = self.shield.serve(req, &mut self.state, tb);
         so.latency_ms += ctx.lat.edge_rtt_ms;
         if !so.error {
             // Publish: node `n` now holds the object, so ring peers can
@@ -661,12 +644,11 @@ impl<P: CachePolicy> FleetShard<P> {
         B: Fn(usize, usize, u64, Option<&Obs>) -> P + Sync,
     {
         let t = req.ts.as_secs_f64();
-        self.seen += 1;
-        if self.seen % 512 == 1 {
-            self.peak_meta = self.peak_meta.max(self.meta_bytes());
+        if self.state.ledger.tick() {
+            let meta = self.meta_bytes();
+            self.state.ledger.sample_meta(meta);
             self.shield.prune_admitted();
-            self.in_flight
-                .retain(|_, &mut (done_at, _)| req.ts < done_at);
+            self.state.expire_fetches(req.ts);
             let ttl = ctx.hint_ttl_secs;
             self.hints
                 .retain(|_, &mut (_, published)| t - published <= ttl);
@@ -677,169 +659,88 @@ impl<P: CachePolicy> FleetShard<P> {
         let primary = ctx.ring.primary(req.id);
         let chosen = ctx.ring.node_for(req.id, |node| !ctx.faults.down(node, t));
 
-        // Sampling is pure in `(object, trace time)` and keyed on the
-        // global request index, so the sampled set is shard-layout- and
-        // thread-count-invariant.
-        let mut tb = match &self.obs {
-            Some(obs) if i >= warmup => {
-                obs.trace_recorder()
-                    .begin(i as u64, req.id, req.ts.as_micros(), req.size)
-            }
-            _ => None,
-        };
-        if let Some(tb) = tb.as_mut() {
-            if let Some(n) = chosen {
-                if n != primary {
-                    tb.push(
-                        "failover",
-                        0,
-                        vec![kv("from", primary as u64), kv("to", n as u64)],
-                    );
-                }
+        // Warmup is by global trace index, identical at any thread count.
+        let measured = i >= warmup;
+        let mut tb = self.state.ledger.begin_trace(measured, i, req);
+        if let (Some(tb), Some(n)) = (tb.as_mut(), chosen) {
+            if n != primary {
+                tb.push(
+                    "failover",
+                    0,
+                    vec![kv("from", primary as u64), kv("to", n as u64)],
+                );
             }
         }
 
         let (mut served, kind) = match chosen {
+            // Whole fleet down: the request fails at the client after one
+            // edge round trip.
             None => (
-                // Whole fleet down: the request fails at the client
-                // after one edge round trip.
                 ServeOutcome {
                     latency_ms: ctx.lat.error_latency_ms(0.0),
-                    service_ms: 0.0,
-                    wan: 0,
-                    hit: false,
-                    stale: false,
                     error: true,
-                    coalesced: false,
                     degraded: true,
+                    ..ServeOutcome::default()
                 },
                 Served::Unrouted,
             ),
             Some(n) => self.serve_at(ctx, s, n, t, req, tb.as_mut()),
         };
-        if chosen.is_some() && chosen != Some(primary) {
-            served.degraded = true;
-        }
-
-        // Breaker flap events are trace-ordered and warmup-independent,
-        // as in the engine.
-        if let Some(obs) = &self.obs {
-            let opens = self.breaker.opens();
-            if opens > self.last_opens {
-                obs.emit(Event::new(t, EventKind::BreakerOpen).field("opens", opens));
-                self.last_opens = opens;
-            }
-            let closes = self.breaker.closes();
-            if closes > self.last_closes {
-                obs.emit(Event::new(t, EventKind::BreakerClose).field("closes", closes));
-                self.last_closes = closes;
-            }
-        }
-
-        // Warmup is by global trace index, identical at any thread count.
-        if i < warmup {
-            return;
-        }
-        self.measured += 1;
-        self.bytes_served += req.size as u128;
-        self.wan_bytes += served.wan as u128;
 
         let fleet_hit = matches!(kind, Served::EdgeHit | Served::Peer(_));
-        if fleet_hit {
-            self.bytes_hit += req.size as u128;
-        }
-        match kind {
-            Served::EdgeHit => {
-                self.edge_hits += 1;
-                if let Some(n) = chosen {
-                    self.nodes[n].hits += 1;
+        if measured {
+            let tally = &mut self.tally;
+            if fleet_hit {
+                tally.bytes_hit += req.size as u128;
+            }
+            match kind {
+                Served::EdgeHit => tally.edge_hits += 1,
+                Served::Peer(_) => tally.peer_hits += 1,
+                Served::Shield => {
+                    tally.shield_lookups += 1;
+                    tally.shield_hits += served.hit as u64;
                 }
+                Served::Unrouted => tally.unrouted += 1,
             }
-            Served::Peer(_) => self.peer_hits += 1,
-            Served::Shield => {
-                self.shield_lookups += 1;
-                if served.hit {
-                    self.shield_hits += 1;
-                }
-            }
-            Served::Unrouted => self.unrouted += 1,
-        }
-        if let Some(n) = chosen {
-            self.nodes[n].measured += 1;
-            if served.error {
-                self.nodes[n].errors += 1;
-                self.errors += 1;
-            }
-            if n != primary {
-                self.failovers += 1;
+            if let Some(n) = chosen {
+                let node = &mut self.nodes[n];
+                node.measured += 1;
+                node.hits += matches!(kind, Served::EdgeHit) as u64;
+                node.errors += served.error as u64;
+                tally.failovers += (n != primary) as u64;
             }
         }
-        if served.stale {
-            self.stale_served += 1;
-        }
-        if served.coalesced {
-            self.coalesced += 1;
-        }
-        self.latencies.push(served.latency_ms);
-
-        if let Some(acc) = self.acc.as_mut() {
-            acc.on_request(ReqSample {
-                t_micros: req.ts.as_micros(),
-                bytes: req.size,
-                hit: fleet_hit,
-                admitted: false,
-                bypassed: false,
-                error: served.error,
-                stale: served.stale,
-                coalesced: served.coalesced,
-            });
-            if served.latency_ms.is_finite() && served.latency_ms >= 0.0 {
-                self.lat_hist.record((served.latency_ms * 1e3) as u64);
-            }
-            let obs = self.obs.as_ref().expect("acc implies obs");
-            if served.stale {
-                obs.emit(Event::new(t, EventKind::StaleServe).field("id", req.id));
-            }
-            if served.error {
-                obs.emit(Event::new(t, EventKind::ErrorServe).field("id", req.id));
-            }
-            if served.coalesced {
-                obs.emit(Event::new(t, EventKind::Coalesce).field("id", req.id));
-            }
-            if let Served::Peer(peer) = kind {
-                obs.emit(
-                    Event::new(t, EventKind::PeerHint)
-                        .field("id", req.id)
-                        .field("peer", peer as u64),
-                );
-            }
-            if let Some(tb) = tb.take() {
-                obs.push_trace(tb.finish(served.latency_ms, acc.last_index()));
-            }
+        served.hit = fleet_hit;
+        // The fleet credits no evictions to its windows.
+        let state = &mut self.state;
+        state
+            .ledger
+            .record(req, measured, &served, &state.breaker, || 0, tb);
+        if let (true, Served::Peer(peer), Some(obs)) = (measured, kind, state.ledger.obs()) {
+            obs.emit(
+                Event::new(t, EventKind::PeerHint)
+                    .field("id", req.id)
+                    .field("peer", peer as u64),
+            );
         }
     }
 
     /// Flushes the shard recorder (windows, counters, histogram) once the
     /// shard's subsequence is exhausted.
     fn finalize(&mut self) -> Option<Obs> {
-        self.peak_meta = self.peak_meta.max(self.meta_bytes());
-        let obs = self.obs.take()?;
-        if let Some(acc) = self.acc.take() {
-            obs.push_windows(acc.finish());
-        }
-        obs.counter_add("fleet.requests", self.measured);
-        obs.counter_add("fleet.edge_hits", self.edge_hits);
-        obs.counter_add("fleet.peer_hits", self.peer_hits);
-        obs.counter_add("fleet.shield_hits", self.shield_hits);
-        obs.counter_add("fleet.errors", self.errors);
-        obs.counter_add("fleet.unrouted", self.unrouted);
-        obs.counter_add("fleet.failovers", self.failovers);
-        obs.counter_add("fleet.stale_served", self.stale_served);
-        obs.counter_add("fleet.coalesced", self.coalesced);
-        obs.counter_add("fleet.retries", self.retries);
-        if self.lat_hist.total() > 0 {
-            obs.hist_merge("fleet.latency_us", &self.lat_hist);
-        }
+        let meta = self.meta_bytes();
+        let obs = self
+            .state
+            .ledger
+            .flush("fleet", &self.state.breaker, meta)?;
+        let tally = &self.tally;
+        // Unrouted requests are errors to the ledger but counted apart.
+        obs.counter_add("fleet.errors", self.state.ledger.errors - tally.unrouted);
+        obs.counter_add("fleet.edge_hits", tally.edge_hits);
+        obs.counter_add("fleet.peer_hits", tally.peer_hits);
+        obs.counter_add("fleet.shield_hits", tally.shield_hits);
+        obs.counter_add("fleet.unrouted", tally.unrouted);
+        obs.counter_add("fleet.failovers", tally.failovers);
         Some(obs)
     }
 }
@@ -909,10 +810,7 @@ impl FleetEngine {
         let ring = HashRing::new(n_nodes, self.config.vnodes);
 
         if let Some(obs) = &self.obs {
-            for &(start, end) in &self.config.server.faults.outages {
-                obs.emit(Event::new(start, EventKind::OutageStart).field("until_secs", end));
-                obs.emit(Event::new(end, EventKind::OutageEnd));
-            }
+            emit_outages(obs, &self.config.server.faults);
             for &(node, start, end) in &self.config.node_faults.windows {
                 obs.emit(
                     Event::new(start, EventKind::NodeDown)
@@ -923,63 +821,34 @@ impl FleetEngine {
             }
         }
 
-        let measured_total = trace
+        let measured = trace
             .len()
             .saturating_sub(self.config.server.warmup_requests);
-        let per_shard_latency_cap =
-            measured_total / n_shards + measured_total / (n_shards * 4) + 16;
-
+        let latency_capacity = shard_latency_capacity(measured, n_shards);
         let shards: Vec<FleetShard<P>> = (0..n_shards)
             .map(|s| {
                 let obs = self
                     .obs
                     .as_ref()
                     .map(|master| Obs::new(master.config().clone()));
-                let mut faults = self.config.server.faults.clone();
-                faults.seed = shard_seed(faults.seed, s);
-                let server_config = ServerConfig {
-                    faults: faults.clone(),
-                    ..self.config.server.clone()
-                };
+                let config = shard_config(&self.config.server, s);
+                let nodes = (0..n_nodes)
+                    .map(|node| NodeSlice {
+                        policy: build(node, s, node_capacity, obs.as_ref()),
+                        epoch: 0,
+                        seen: 0,
+                        measured: 0,
+                        hits: 0,
+                        errors: 0,
+                    })
+                    .collect();
+                let ledger = ServeLedger::new(obs, latency_capacity).without_degraded();
                 FleetShard {
-                    nodes: (0..n_nodes)
-                        .map(|node| NodeSlice {
-                            policy: build(node, s, node_capacity, obs.as_ref()),
-                            epoch: 0,
-                            seen: 0,
-                            measured: 0,
-                            hits: 0,
-                            errors: 0,
-                        })
-                        .collect(),
-                    shield: CdnServer::new(Lru::new(shield_capacity), server_config.clone()),
-                    plan: FaultPlan::new(faults),
-                    breaker: CircuitBreaker::new(server_config.resilience.breaker.clone()),
-                    in_flight: FastMap::default(),
+                    nodes,
+                    state: ShardState::new(&config, ledger),
+                    shield: CdnServer::new(Lru::new(shield_capacity), config),
                     hints: FastMap::default(),
-                    retries: 0,
-                    compute_ms: 0.0,
-                    latencies: Vec::with_capacity(per_shard_latency_cap),
-                    bytes_served: 0,
-                    bytes_hit: 0,
-                    wan_bytes: 0,
-                    edge_hits: 0,
-                    peer_hits: 0,
-                    shield_hits: 0,
-                    shield_lookups: 0,
-                    errors: 0,
-                    unrouted: 0,
-                    failovers: 0,
-                    stale_served: 0,
-                    coalesced: 0,
-                    measured: 0,
-                    seen: 0,
-                    peak_meta: 0,
-                    acc: obs.as_ref().map(|o| SeriesAcc::new(o.window())),
-                    obs,
-                    lat_hist: LogHistogram::new(),
-                    last_opens: 0,
-                    last_closes: 0,
+                    tally: FleetTally::default(),
                 }
             })
             .collect();
@@ -1014,51 +883,17 @@ impl FleetEngine {
         let wall_secs = wall_start.elapsed().as_secs_f64();
 
         // Merge in fixed shard order, then fixed node order.
-        let mut latencies = Vec::with_capacity(trace.len());
+        let mut total = ServeLedger::new(None, trace.len()).without_degraded();
+        let mut tally = FleetTally::default();
         let mut shard_obs = Vec::new();
-        let mut bytes_served = 0u128;
-        let mut bytes_hit = 0u128;
-        let mut wan_bytes = 0u128;
-        let mut edge_hits = 0u64;
-        let mut peer_hits = 0u64;
-        let mut shield_hits = 0u64;
-        let mut shield_lookups = 0u64;
-        let mut errors = 0u64;
-        let mut unrouted = 0u64;
-        let mut failovers = 0u64;
-        let mut stale_served = 0u64;
-        let mut coalesced = 0u64;
-        let mut retries = 0u64;
-        let mut measured = 0u64;
-        let mut peak_meta = 0u64;
-        let mut breaker_opens = 0u64;
-        let mut breaker_closes = 0u64;
         let mut node_seen = vec![0u64; n_nodes];
         let mut node_measured = vec![0u64; n_nodes];
         let mut node_hits = vec![0u64; n_nodes];
         let mut node_errors = vec![0u64; n_nodes];
         for shard in &mut shards {
-            if let Some(obs) = shard.finalize() {
-                shard_obs.push(obs);
-            }
-            latencies.append(&mut shard.latencies);
-            bytes_served += shard.bytes_served;
-            bytes_hit += shard.bytes_hit;
-            wan_bytes += shard.wan_bytes;
-            edge_hits += shard.edge_hits;
-            peer_hits += shard.peer_hits;
-            shield_hits += shard.shield_hits;
-            shield_lookups += shard.shield_lookups;
-            errors += shard.errors;
-            unrouted += shard.unrouted;
-            failovers += shard.failovers;
-            stale_served += shard.stale_served;
-            coalesced += shard.coalesced;
-            retries += shard.retries;
-            measured += shard.measured;
-            peak_meta += shard.peak_meta;
-            breaker_opens += shard.breaker.opens();
-            breaker_closes += shard.breaker.closes();
+            shard_obs.extend(shard.finalize());
+            total.absorb(&mut shard.state.ledger);
+            tally.add(&shard.tally);
             for (node, slice) in shard.nodes.iter().enumerate() {
                 node_seen[node] += slice.seen;
                 node_measured[node] += slice.measured;
@@ -1066,13 +901,6 @@ impl FleetEngine {
                 node_errors[node] += slice.errors;
             }
         }
-        let (p90_latency_ms, p99_latency_ms) = pct2(&mut latencies);
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
-        let duration = trace.duration().as_secs_f64().max(1e-9);
         let pct = |part: f64, whole: f64| {
             if whole <= 0.0 {
                 0.0
@@ -1080,15 +908,10 @@ impl FleetEngine {
                 part / whole * 100.0
             }
         };
-        let origin_offload_pct = if bytes_served == 0 {
+        let origin_offload_pct = if total.bytes_served == 0 {
             100.0
         } else {
-            (1.0 - wan_bytes as f64 / bytes_served as f64) * 100.0
-        };
-        let availability_pct = if measured == 0 {
-            100.0
-        } else {
-            (measured - errors - unrouted) as f64 / measured as f64 * 100.0
+            (1.0 - total.wan_bytes as f64 / total.bytes_served as f64) * 100.0
         };
         let node_imbalance = crate::engine::shard_skew(&node_seen).0;
         let per_node_hit_pct: Vec<f64> = node_hits
@@ -1101,19 +924,15 @@ impl FleetEngine {
             master.absorb_shards(&shard_obs);
             master.gauge_set("fleet.node_imbalance", node_imbalance);
             master.gauge_set("fleet.origin_offload_pct", origin_offload_pct);
-            master.gauge_set(
-                "server.replay_wall_secs",
-                if master.deterministic() {
-                    0.0
-                } else {
-                    wall_secs
-                },
-            );
+            set_wall_gauge(master, wall_secs);
         }
 
+        let measured = total.measured;
+        let byte_hit_pct = pct(tally.bytes_hit as f64, total.bytes_served as f64);
+        let r = total.report(name, trace, Vec::new(), wall_secs);
         FleetReport {
-            name,
-            trace: trace.name.clone(),
+            name: r.name,
+            trace: r.trace,
             n_nodes: n_nodes as u64,
             vnodes: self.config.vnodes.max(1) as u64,
             n_shards: n_shards as u64,
@@ -1124,25 +943,25 @@ impl FleetEngine {
                 0.0
             },
             requests: measured,
-            edge_hit_pct: pct(edge_hits as f64, measured as f64),
-            byte_hit_pct: pct(bytes_hit as f64, bytes_served as f64),
-            shield_hit_pct: pct(shield_hits as f64, shield_lookups as f64),
-            peer_hits,
+            edge_hit_pct: pct(tally.edge_hits as f64, measured as f64),
+            byte_hit_pct,
+            shield_hit_pct: pct(tally.shield_hits as f64, tally.shield_lookups as f64),
+            peer_hits: tally.peer_hits,
             origin_offload_pct,
-            availability_pct,
-            errors_served: errors,
-            unrouted,
-            failovers,
-            stale_served,
-            retries,
-            coalesced_fetches: coalesced,
-            breaker_opens,
-            breaker_closes,
-            mean_latency_ms: mean,
-            p90_latency_ms,
-            p99_latency_ms,
-            wan_gbps: wan_bytes as f64 * 8.0 / duration / 1e9,
-            peak_mem_gb: peak_meta as f64 / 1e9,
+            availability_pct: r.availability_pct,
+            errors_served: r.errors_served - tally.unrouted,
+            unrouted: tally.unrouted,
+            failovers: tally.failovers,
+            stale_served: r.stale_served,
+            retries: r.retries,
+            coalesced_fetches: r.coalesced_fetches,
+            breaker_opens: r.breaker_opens,
+            breaker_closes: r.breaker_closes,
+            mean_latency_ms: r.mean_latency_ms,
+            p90_latency_ms: r.p90_latency_ms,
+            p99_latency_ms: r.p99_latency_ms,
+            wan_gbps: r.wan_gbps,
+            peak_mem_gb: r.peak_mem_gb,
             per_node_requests: node_seen,
             per_node_hit_pct,
             per_node_errors: node_errors,
@@ -1155,6 +974,7 @@ impl FleetEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lhr_trace::Time;
     use lhr_util::json::{FromJson, Json};
 
     fn trace(n: usize, objects: u64, size: u64) -> Trace {
@@ -1331,6 +1151,41 @@ mod tests {
             with.origin_offload_pct,
             without.origin_offload_pct
         );
+    }
+
+    #[test]
+    fn whole_fleet_outage_counts_unrouted_apart_from_errors() {
+        use lhr_obs::{ObsConfig, ObsRecord};
+        // Every node is down for the middle of the trace over an
+        // infallible origin: those requests are unrouted, never errors,
+        // yet they count against availability and in the error windows.
+        let t = trace(4_000, 100, 1 << 10);
+        let mut c = config(2, 64 << 10);
+        c.node_faults.windows = (0..c.n_nodes).map(|n| (n, 1_000.0, 2_000.0)).collect();
+        let obs = Obs::new(ObsConfig {
+            deterministic: true,
+            ..ObsConfig::default()
+        });
+        let r = FleetEngine::new(c)
+            .with_obs(obs.clone())
+            .replay(&t, |_, _, cap, _| Lru::new(cap));
+        assert_eq!(r.unrouted, 1_000);
+        assert_eq!(r.errors_served, 0);
+        assert!(
+            (r.availability_pct - 75.0).abs() < 1e-9,
+            "{}",
+            r.availability_pct
+        );
+        let counter = |name: &str| {
+            obs.records().into_iter().find_map(|rec| match rec {
+                ObsRecord::Counter { name: n, value } if n == name => Some(value),
+                _ => None,
+            })
+        };
+        assert_eq!(counter("fleet.errors"), Some(0));
+        assert_eq!(counter("fleet.unrouted"), Some(1_000));
+        let window_errors: u64 = obs.windows().iter().map(|w| w.errors).sum();
+        assert_eq!(window_errors, 1_000);
     }
 
     #[test]

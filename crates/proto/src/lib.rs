@@ -37,20 +37,22 @@
 //! with node-level fault injection (down/up windows, churn with cold
 //! restarts), ring-successor failover, and a peer-hint protocol — under
 //! the same determinism contract.
+//!
+//! All three paths book their requests through one per-request ledger in
+//! [`server`]: the single server is the one-shard case of the engine's
+//! per-shard step, and the engine and the fleet fold their shard ledgers
+//! in fixed shard order.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod concurrent;
 pub mod engine;
 pub mod fault;
 pub mod fleet;
 pub mod latency;
 pub mod presets;
 pub mod server;
-pub mod tiered;
 
-pub use concurrent::{ConcurrentCache, FetchTable};
 pub use engine::{EngineConfig, EngineReport, ShardedEngine};
 pub use fault::{
     BreakerConfig, BreakerState, CircuitBreaker, FaultConfig, FaultPlan, OriginOutcome,
@@ -59,4 +61,3 @@ pub use fault::{
 pub use fleet::{FleetConfig, FleetEngine, FleetReport, HashRing, NodeFaultConfig};
 pub use latency::LatencyModel;
 pub use server::{CdnServer, ServerConfig, ServerReport};
-pub use tiered::{Tier, TieredCache};

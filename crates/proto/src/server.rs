@@ -1,4 +1,5 @@
-//! The simulated CDN server and its resource report.
+//! The simulated CDN server, its resource report, and the serve ledger
+//! every serving path books requests through.
 //!
 //! The serving path layers graceful degradation over the origin fetch (see
 //! [`crate::fault`]): retries with exponential backoff and jitter, a
@@ -6,15 +7,20 @@
 //! cached copies, and coalescing of concurrent misses into one in-flight
 //! fetch. With the default [`ServerConfig`] (no injected faults) the path
 //! behaves exactly like the original infallible-origin model.
+//!
+//! Per-request accounting lives in one place, [`ServeLedger`]:
+//! [`CdnServer::replay`] is the one-shard case of the sharded engine's
+//! per-shard step, and the fleet books its shards through the same ledger.
 
 use crate::fault::FaultConfig;
 use crate::fault::{CircuitBreaker, FaultPlan, OriginOutcome, ResilienceConfig, RetryPolicy};
 use crate::latency::{transfer_ms, LatencyModel};
 use lhr_obs::series::{ReqSample, SeriesAcc};
-use lhr_obs::trace::TraceBuilder;
+use lhr_obs::trace::{TraceBuilder, TraceRecorder};
 use lhr_obs::{Event, EventKind, LogHistogram, Obs};
+use lhr_sim::shard::shard_seed;
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Time, Trace};
+use lhr_trace::{ObjectId, Request, Time, Trace};
 use lhr_util::hash::FastMap;
 use lhr_util::json::{Json, ToJson};
 use std::time::Instant;
@@ -171,22 +177,20 @@ struct FetchResult {
     attempted: bool,
 }
 
-/// Runs one fetch through the breaker and the retry chain. When the
-/// request is sampled (`tb`), each attempt becomes an `origin_fetch` trace
-/// step and a breaker fast-fail a `breaker{state:open}` step; the trace
-/// clock advances by the same error-RTT / timeout / backoff components
-/// that build `delay_ms`.
+/// Runs one fetch through the shard's breaker and the retry chain,
+/// counting retries in its ledger. When the request is sampled (`tb`),
+/// each attempt becomes an `origin_fetch` trace step and a breaker
+/// fast-fail a `breaker{state:open}` step; the trace clock advances by the
+/// same error-RTT / timeout / backoff components that build `delay_ms`.
 fn origin_fetch(
     lat: &LatencyModel,
     retry: &RetryPolicy,
-    plan: &mut FaultPlan,
-    breaker: &mut CircuitBreaker,
+    st: &mut ShardState,
     now: Time,
-    retries: &mut u64,
     mut tb: Option<&mut TraceBuilder>,
 ) -> FetchResult {
-    if !breaker.allow(now) {
-        if let Some(tb) = tb.as_deref_mut() {
+    if !st.breaker.allow(now) {
+        if let Some(tb) = tb {
             tb.push("breaker", 0, vec![kv("state", "open")]);
         }
         return FetchResult {
@@ -200,7 +204,7 @@ fn origin_fetch(
     let mut attempt = 0u32;
     loop {
         // (outcome name, Some(rate_scale) on success, ms this attempt cost)
-        let (name, done, step_ms) = match plan.outcome(now) {
+        let (name, done, step_ms) = match st.plan.outcome(now) {
             OriginOutcome::Success => ("success", Some(1.0), 0.0),
             OriginOutcome::Slow { rate_scale } => ("slow", Some(rate_scale), 0.0),
             OriginOutcome::Error => ("error", None, lat.origin_rtt_ms),
@@ -209,7 +213,7 @@ fn origin_fetch(
         delay_ms += step_ms;
         let give_up = done.is_none() && attempt >= retry.max_retries;
         let backoff_ms = if done.is_none() && !give_up {
-            retry.backoff_ms(attempt, plan.jitter())
+            retry.backoff_ms(attempt, st.plan.jitter())
         } else {
             0.0
         };
@@ -223,7 +227,7 @@ fn origin_fetch(
             tb.advance(backoff_ms);
         }
         if let Some(rate_scale) = done {
-            breaker.record_success();
+            st.breaker.record_success();
             return FetchResult {
                 ok: true,
                 delay_ms,
@@ -232,7 +236,7 @@ fn origin_fetch(
             };
         }
         if give_up {
-            breaker.record_failure(now);
+            st.breaker.record_failure(now);
             return FetchResult {
                 ok: false,
                 delay_ms,
@@ -241,24 +245,18 @@ fn origin_fetch(
             };
         }
         delay_ms += backoff_ms;
-        *retries += 1;
+        st.ledger.retries += 1;
         attempt += 1;
     }
 }
 
-/// The in-flight fetch window a serving path coalesces misses into:
-/// object → (fetch completion time, fetch succeeded). [`CdnServer::replay`]
-/// uses a request-local [`FastMap`]; the threaded engine shares one
-/// [`crate::FetchTable`] across shards so the same serve code coalesces
-/// against fetches no matter which shard claimed them.
 /// Both latency percentiles via selection instead of a full sort —
 /// identical values (the k-th order statistic is unique under
 /// `total_cmp`), O(n): select p90, then select p99 inside the ≥p90 tail
 /// the first selection partitioned off. NaN latencies (a degenerate
 /// latency model) still order last and degrade the percentile instead of
-/// panicking the whole replay. Shared by the single server, the sharded
-/// engine, and the fleet merge paths.
-pub(crate) fn pct2(values: &mut [f64]) -> (f64, f64) {
+/// panicking the whole replay.
+fn pct2(values: &mut [f64]) -> (f64, f64) {
     if values.is_empty() {
         return (0.0, 0.0);
     }
@@ -274,36 +272,377 @@ pub(crate) fn pct2(values: &mut [f64]) -> (f64, f64) {
     (p90, p99)
 }
 
-pub(crate) trait InFlight {
-    /// The in-flight window for `id`, if one exists.
-    fn get(&self, id: ObjectId) -> Option<(Time, bool)>;
-    /// Records that a fetch for `id` lands at `done_at` (`ok` = success).
-    fn set(&mut self, id: ObjectId, done_at: Time, ok: bool);
-    /// Drops the window for `id` (it expired).
-    fn clear(&mut self, id: ObjectId);
-}
-
-impl InFlight for FastMap<ObjectId, (Time, bool)> {
-    fn get(&self, id: ObjectId) -> Option<(Time, bool)> {
-        FastMap::get(self, &id).copied()
-    }
-    fn set(&mut self, id: ObjectId, done_at: Time, ok: bool) {
-        self.insert(id, (done_at, ok));
-    }
-    fn clear(&mut self, id: ObjectId) {
-        self.remove(&id);
+/// Emits the injected outage schedule up front, so the event stream
+/// explains any availability dip that follows.
+pub(crate) fn emit_outages(obs: &Obs, faults: &FaultConfig) {
+    for &(start, end) in &faults.outages {
+        obs.emit(Event::new(start, EventKind::OutageStart).field("until_secs", end));
+        obs.emit(Event::new(end, EventKind::OutageEnd));
     }
 }
 
-impl InFlight for &crate::FetchTable<(Time, bool)> {
-    fn get(&self, id: ObjectId) -> Option<(Time, bool)> {
-        crate::FetchTable::get(self, id)
+/// Sets the `server.replay_wall_secs` gauge (zero in deterministic
+/// exports).
+pub(crate) fn set_wall_gauge(obs: &Obs, wall_secs: f64) {
+    let secs = if obs.deterministic() { 0.0 } else { wall_secs };
+    obs.gauge_set("server.replay_wall_secs", secs);
+}
+
+/// `config` with shard `shard`'s origin fault seed: per-shard fault plans
+/// are a pure function of (base seed, shard index).
+pub(crate) fn shard_config(config: &ServerConfig, shard: usize) -> ServerConfig {
+    let mut config = config.clone();
+    config.faults.seed = shard_seed(config.faults.seed, shard);
+    config
+}
+
+/// Latency slots to preallocate per shard: its share of the measured
+/// requests plus slack for skew, so steady-state replay never reallocates
+/// mid-push.
+pub(crate) fn shard_latency_capacity(measured: usize, n_shards: usize) -> usize {
+    measured / n_shards + measured / (n_shards * 4) + 16
+}
+
+/// Per-request accounting of one serving shard: the report counters, the
+/// latency vectors, and — with a recorder attached — the obs window
+/// series, the latency histogram, breaker-transition and degraded-serve
+/// events, and sampled request traces.
+///
+/// [`CdnServer::replay`] books into one ledger; the sharded engine and
+/// the fleet book into one per shard, then fold them in fixed shard order
+/// with [`Self::absorb`], so float sums associate identically at any
+/// thread count.
+#[derive(Default)]
+pub(crate) struct ServeLedger {
+    /// Requests booked, warmup included.
+    pub(crate) seen: u64,
+    /// Measured (post-warmup) requests.
+    pub(crate) measured: u64,
+    hits: u64,
+    pub(crate) errors: u64,
+    stale_served: u64,
+    coalesced: u64,
+    /// Origin fetch retries, warmup included.
+    retries: u64,
+    /// Timed policy compute, warmup included (zero when deterministic).
+    compute_ms: f64,
+    busy_ms: f64,
+    pub(crate) bytes_served: u128,
+    pub(crate) wan_bytes: u128,
+    /// Peak policy metadata, sampled on the [`Self::tick`] cadence.
+    peak_meta: u64,
+    /// Breaker transitions, taken from the breaker at [`Self::flush`].
+    breaker_opens: u64,
+    breaker_closes: u64,
+    latencies: Vec<f64>,
+    /// Latencies of degraded requests; `None` on a path that reports no
+    /// degraded percentiles (the fleet).
+    degraded: Option<Vec<f64>>,
+    obs: Option<Obs>,
+    tracer: Option<TraceRecorder>,
+    acc: Option<SeriesAcc>,
+    lat_hist: LogHistogram,
+    /// Hand each window to the recorder as it closes (the single server,
+    /// whose recorder may stream) instead of all at [`Self::flush`]. A
+    /// trace sampled on a window's closing request is then stamped with
+    /// the next window's index, where the shard paths stamp the closed
+    /// one; the pinned exports keep both.
+    push_on_close: bool,
+    last_evictions: u64,
+    last_opens: u64,
+    last_closes: u64,
+}
+
+impl ServeLedger {
+    /// An empty ledger booking into `obs` (if any), with room for
+    /// `expected` measured requests.
+    pub(crate) fn new(obs: Option<Obs>, expected: usize) -> Self {
+        ServeLedger {
+            latencies: Vec::with_capacity(expected),
+            degraded: Some(Vec::new()),
+            tracer: obs.as_ref().map(|o| o.trace_recorder()),
+            acc: obs.as_ref().map(|o| SeriesAcc::new(o.window())),
+            obs,
+            ..ServeLedger::default()
+        }
     }
-    fn set(&mut self, id: ObjectId, done_at: Time, ok: bool) {
-        crate::FetchTable::set(self, id, (done_at, ok));
+
+    /// Pushes windows to the recorder as they close.
+    pub(crate) fn push_on_close(mut self) -> Self {
+        self.push_on_close = true;
+        self
     }
-    fn clear(&mut self, id: ObjectId) {
-        crate::FetchTable::finish(self, id);
+
+    /// Keeps no degraded-latency vector.
+    pub(crate) fn without_degraded(mut self) -> Self {
+        self.degraded = None;
+        self
+    }
+
+    /// The shard recorder, until [`Self::flush`] hands it back.
+    pub(crate) fn obs(&self) -> Option<&Obs> {
+        self.obs.as_ref()
+    }
+
+    /// Starts the trace of request `i` (global trace index) if it is
+    /// measured and sampled. Sampling is a pure function of `(object,
+    /// trace time)`, so the sampled set does not depend on how requests
+    /// were sharded; warmup requests are never sampled (they have no
+    /// metric window to anchor an exemplar to).
+    pub(crate) fn begin_trace(
+        &self,
+        measured: bool,
+        i: usize,
+        req: &Request,
+    ) -> Option<TraceBuilder> {
+        match &self.tracer {
+            Some(t) if measured => t.begin(i as u64, req.id, req.ts.as_micros(), req.size),
+            _ => None,
+        }
+    }
+
+    /// Counts one request of the shard; true on the first and every
+    /// 512th after it — the cadence at which a serving path samples
+    /// metadata ([`Self::sample_meta`]) and prunes expired bookkeeping.
+    pub(crate) fn tick(&mut self) -> bool {
+        self.seen += 1;
+        self.seen % 512 == 1
+    }
+
+    /// Folds one reading of the policies' metadata bytes into the peak.
+    pub(crate) fn sample_meta(&mut self, meta_bytes: u64) {
+        self.peak_meta = self.peak_meta.max(meta_bytes);
+    }
+
+    /// Books one served request. Breaker transitions are emitted for every
+    /// request (the breaker carries warmup state into the measured
+    /// interval); the rest only for measured ones. `evictions` reads the
+    /// policy's eviction counter and is only called with a recorder
+    /// attached; its per-request delta is credited to the open window.
+    pub(crate) fn record(
+        &mut self,
+        req: &Request,
+        measured: bool,
+        served: &ServeOutcome,
+        breaker: &CircuitBreaker,
+        evictions: impl FnOnce() -> u64,
+        tb: Option<TraceBuilder>,
+    ) {
+        let evict_delta = if self.acc.is_some() {
+            let cur = evictions();
+            let delta = cur.saturating_sub(self.last_evictions);
+            self.last_evictions = cur;
+            delta
+        } else {
+            0
+        };
+        let t = req.ts.as_secs_f64();
+        if let Some(obs) = &self.obs {
+            let opens = breaker.opens();
+            if opens > self.last_opens {
+                obs.emit(Event::new(t, EventKind::BreakerOpen).field("opens", opens));
+                self.last_opens = opens;
+            }
+            let closes = breaker.closes();
+            if closes > self.last_closes {
+                obs.emit(Event::new(t, EventKind::BreakerClose).field("closes", closes));
+                self.last_closes = closes;
+            }
+        }
+        if !measured {
+            return;
+        }
+        self.measured += 1;
+        self.bytes_served += req.size as u128;
+        self.wan_bytes += served.wan as u128;
+        self.busy_ms += served.service_ms;
+        self.hits += served.hit as u64;
+        self.errors += served.error as u64;
+        self.stale_served += served.stale as u64;
+        self.coalesced += served.coalesced as u64;
+        self.latencies.push(served.latency_ms);
+        if served.degraded {
+            if let Some(degraded) = &mut self.degraded {
+                degraded.push(served.latency_ms);
+            }
+        }
+        let (Some(acc), Some(obs)) = (self.acc.as_mut(), &self.obs) else {
+            return;
+        };
+        let closed = acc.on_request(ReqSample {
+            t_micros: req.ts.as_micros(),
+            bytes: req.size,
+            hit: served.hit,
+            admitted: false,
+            bypassed: false,
+            error: served.error,
+            stale: served.stale,
+            coalesced: served.coalesced,
+        });
+        acc.on_evictions(evict_delta);
+        if served.latency_ms.is_finite() && served.latency_ms >= 0.0 {
+            self.lat_hist.record((served.latency_ms * 1e3) as u64);
+        }
+        if closed && self.push_on_close {
+            // Boundary-only, after the eviction credit that may still land
+            // on the just-closed window.
+            obs.push_windows(acc.take_done());
+        }
+        if served.stale {
+            obs.emit(Event::new(t, EventKind::StaleServe).field("id", req.id));
+        }
+        if served.error {
+            obs.emit(Event::new(t, EventKind::ErrorServe).field("id", req.id));
+        }
+        if served.coalesced {
+            obs.emit(Event::new(t, EventKind::Coalesce).field("id", req.id));
+        }
+        if let Some(tb) = tb {
+            obs.push_trace(tb.finish(served.latency_ms, acc.last_index()));
+        }
+    }
+
+    /// Closes the shard's books once its requests are exhausted: takes the
+    /// final metadata sample and the breaker's transition counts, then
+    /// flushes the windows, the `{prefix}.requests` / `.stale_served` /
+    /// `.coalesced` / `.retries` counters and the `{prefix}.latency_us`
+    /// histogram into the recorder and hands it back (for path-specific
+    /// counters and the shard merge).
+    pub(crate) fn flush(
+        &mut self,
+        prefix: &str,
+        breaker: &CircuitBreaker,
+        meta_bytes: u64,
+    ) -> Option<Obs> {
+        self.sample_meta(meta_bytes);
+        self.breaker_opens = breaker.opens();
+        self.breaker_closes = breaker.closes();
+        let obs = self.obs.take()?;
+        if let Some(acc) = self.acc.take() {
+            obs.push_windows(acc.finish());
+        }
+        obs.counter_add(&format!("{prefix}.requests"), self.measured);
+        obs.counter_add(&format!("{prefix}.stale_served"), self.stale_served);
+        obs.counter_add(&format!("{prefix}.coalesced"), self.coalesced);
+        obs.counter_add(&format!("{prefix}.retries"), self.retries);
+        if self.lat_hist.total() > 0 {
+            obs.hist_merge(&format!("{prefix}.latency_us"), &self.lat_hist);
+        }
+        Some(obs)
+    }
+
+    /// Folds a flushed shard ledger into this one; call in fixed shard
+    /// order. Latencies are concatenated — the percentiles are order
+    /// statistics, so the concatenation order is irrelevant to them.
+    pub(crate) fn absorb(&mut self, shard: &mut ServeLedger) {
+        self.seen += shard.seen;
+        self.measured += shard.measured;
+        self.hits += shard.hits;
+        self.errors += shard.errors;
+        self.stale_served += shard.stale_served;
+        self.coalesced += shard.coalesced;
+        self.retries += shard.retries;
+        self.compute_ms += shard.compute_ms;
+        self.busy_ms += shard.busy_ms;
+        self.bytes_served += shard.bytes_served;
+        self.wan_bytes += shard.wan_bytes;
+        self.peak_meta += shard.peak_meta;
+        self.breaker_opens += shard.breaker_opens;
+        self.breaker_closes += shard.breaker_closes;
+        self.latencies.append(&mut shard.latencies);
+        if let (Some(all), Some(degraded)) = (&mut self.degraded, &mut shard.degraded) {
+            all.append(degraded);
+        }
+    }
+
+    /// The report of a flushed (or merged) ledger over `trace`.
+    pub(crate) fn report(
+        &mut self,
+        name: String,
+        trace: &Trace,
+        series: Vec<(u64, f64)>,
+        replay_wall_secs: f64,
+    ) -> ServerReport {
+        let (p90_latency_ms, p99_latency_ms) = pct2(&mut self.latencies);
+        let (degraded_p90_latency_ms, degraded_p99_latency_ms) =
+            pct2(self.degraded.as_deref_mut().unwrap_or_default());
+        let mean_latency_ms = if self.latencies.is_empty() {
+            0.0
+        } else {
+            self.latencies.iter().sum::<f64>() / self.latencies.len() as f64
+        };
+        let duration = trace.duration().as_secs_f64().max(1e-9);
+        let measured = self.measured;
+        ServerReport {
+            name,
+            trace: trace.name.clone(),
+            content_hit_pct: if measured == 0 {
+                0.0
+            } else {
+                self.hits as f64 / measured as f64 * 100.0
+            },
+            throughput_gbps: if self.busy_ms <= 0.0 {
+                0.0
+            } else {
+                self.bytes_served as f64 * 8.0 / (self.busy_ms / 1e3) / 1e9
+            },
+            peak_cpu_pct: if self.busy_ms <= 0.0 {
+                0.0
+            } else {
+                (self.compute_ms / self.busy_ms * 100.0).min(100.0)
+            },
+            peak_mem_gb: self.peak_meta as f64 / 1e9,
+            p90_latency_ms,
+            p99_latency_ms,
+            mean_latency_ms,
+            wan_gbps: self.wan_bytes as f64 * 8.0 / duration / 1e9,
+            availability_pct: if measured == 0 {
+                100.0
+            } else {
+                (measured - self.errors) as f64 / measured as f64 * 100.0
+            },
+            errors_served: self.errors,
+            stale_served: self.stale_served,
+            retries: self.retries,
+            coalesced_fetches: self.coalesced,
+            breaker_opens: self.breaker_opens,
+            breaker_closes: self.breaker_closes,
+            degraded_p90_latency_ms,
+            degraded_p99_latency_ms,
+            series,
+            replay_wall_secs,
+        }
+    }
+}
+
+/// One shard's serving state besides the cache itself: the origin's fault
+/// plan and circuit breaker, the in-flight fetch window concurrent misses
+/// coalesce into, and the ledger. [`CdnServer::replay`] runs one; the
+/// sharded engine and the fleet's shield run one per shard.
+pub(crate) struct ShardState {
+    plan: FaultPlan,
+    pub(crate) breaker: CircuitBreaker,
+    /// Object → (fetch completion time, fetch succeeded). Shard-local by
+    /// construction: every request for an object reaches the same shard,
+    /// so a miss can only join a fetch its own shard recorded.
+    in_flight: FastMap<ObjectId, (Time, bool)>,
+    pub(crate) ledger: ServeLedger,
+}
+
+impl ShardState {
+    /// Fresh origin state for `config`'s fault plan and breaker.
+    pub(crate) fn new(config: &ServerConfig, ledger: ServeLedger) -> Self {
+        ShardState {
+            plan: FaultPlan::new(config.faults.clone()),
+            breaker: CircuitBreaker::new(config.resilience.breaker.clone()),
+            in_flight: FastMap::default(),
+            ledger,
+        }
+    }
+
+    /// Drops the in-flight windows of fetches that have landed by `now`.
+    pub(crate) fn expire_fetches(&mut self, now: Time) {
+        self.in_flight.retain(|_, &mut (done_at, _)| now < done_at);
     }
 }
 
@@ -317,6 +656,7 @@ pub struct CdnServer<P: CachePolicy> {
 }
 
 /// How one request was ultimately served (bookkeeping for the report).
+#[derive(Default)]
 pub(crate) struct ServeOutcome {
     pub(crate) latency_ms: f64,
     pub(crate) service_ms: f64,
@@ -363,246 +703,81 @@ impl<P: CachePolicy> CdnServer<P> {
 
     /// Replays `trace` through the serving path, producing the full report.
     pub fn replay(&mut self, trace: &Trace) -> ServerReport {
-        let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
-        let mut degraded_latencies: Vec<f64> = Vec::new();
-        let mut busy_ms = 0.0f64;
-        let mut compute_ms_total = 0.0f64;
-        let mut bytes_served = 0u128;
-        let mut wan_bytes = 0u128;
-        let mut hits = 0u64;
-        let mut errors = 0u64;
-        let mut stale_served = 0u64;
-        let mut coalesced = 0u64;
-        let mut retries = 0u64;
-        let mut measured = 0u64;
-        let mut peak_meta = 0u64;
-        let mut series = Vec::new();
-        let mut plan = FaultPlan::new(self.config.faults.clone());
-        let mut breaker = CircuitBreaker::new(self.config.resilience.breaker.clone());
-        // Object → (fetch completion time, fetch succeeded): the in-flight
-        // window concurrent misses coalesce into.
-        let mut in_flight: FastMap<ObjectId, (Time, bool)> = FastMap::default();
-
-        // Obs state stays local to the loop (no locking per request); the
-        // injected outage schedule is emitted up front so the event stream
-        // explains any availability dip that follows.
-        let _replay_span = self.obs.as_ref().map(|o| o.span("server.replay"));
-        let mut acc = self.obs.as_ref().map(|o| SeriesAcc::new(o.window()));
-        let tracer = self.obs.as_ref().map(|o| o.trace_recorder());
-        let mut lat_hist = LogHistogram::new();
-        let mut last_evictions = 0u64;
-        let mut last_opens = 0u64;
-        let mut last_closes = 0u64;
-        if let Some(obs) = &self.obs {
+        let obs = self.obs.clone();
+        let _replay_span = obs.as_ref().map(|o| o.span("server.replay"));
+        if let Some(obs) = &obs {
             // Run metadata goes on before the first request: a streaming
             // sink ([`Obs::stream_to`]) writes its meta line when the first
             // window closes, and the line must already be final.
             obs.set_meta("policy", self.policy.name());
             obs.set_meta("trace", trace.name.as_str());
-            for &(start, end) in &self.config.faults.outages {
-                obs.emit(Event::new(start, EventKind::OutageStart).field("until_secs", end));
-                obs.emit(Event::new(end, EventKind::OutageEnd));
-            }
+            emit_outages(obs, &self.config.faults);
         }
+        // Windows go to the recorder as they close, so a streaming sink
+        // writes them while the replay runs.
+        let ledger = ServeLedger::new(obs, trace.len()).push_on_close();
+        let mut st = ShardState::new(&self.config, ledger);
+        let warmup = self.config.warmup_requests;
+        let mut series = Vec::new();
         let wall = Instant::now();
 
         for (i, req) in trace.iter().enumerate() {
-            // Sampling is decided before the serve so the builder can ride
-            // along the whole path; warmup requests are never sampled (they
-            // have no metric window to anchor an exemplar to).
-            let mut tb = match &tracer {
-                Some(t) if i >= self.config.warmup_requests => {
-                    t.begin(i as u64, req.id, req.ts.as_micros(), req.size)
-                }
-                _ => None,
-            };
-            let served = self.serve(
-                req,
-                &mut plan,
-                &mut breaker,
-                &mut in_flight,
-                &mut retries,
-                &mut compute_ms_total,
-                tb.as_mut(),
-            );
-
-            if i % 512 == 0 {
-                peak_meta = peak_meta.max(self.policy.metadata_overhead_bytes());
-                // Opportunistic cleanup of freshness entries for evicted
-                // contents and of expired in-flight windows.
-                self.prune_admitted();
-                in_flight.retain(|_, &mut (done_at, _)| req.ts < done_at);
-            }
-
-            let evict_delta = if acc.is_some() {
-                let cur = self.policy.evictions();
-                let delta = cur.saturating_sub(last_evictions);
-                last_evictions = cur;
-                delta
-            } else {
-                0
-            };
-            if let Some(obs) = &self.obs {
-                // Breaker transitions matter during warmup too (the breaker
-                // carries state into the measured interval).
-                let t = req.ts.as_secs_f64();
-                let opens = breaker.opens();
-                if opens > last_opens {
-                    obs.emit(Event::new(t, EventKind::BreakerOpen).field("opens", opens));
-                    last_opens = opens;
-                }
-                let closes = breaker.closes();
-                if closes > last_closes {
-                    obs.emit(Event::new(t, EventKind::BreakerClose).field("closes", closes));
-                    last_closes = closes;
-                }
-            }
-
-            if i < self.config.warmup_requests {
-                continue;
-            }
-            measured += 1;
-            bytes_served += req.size as u128;
-            wan_bytes += served.wan as u128;
-            busy_ms += served.service_ms;
-            if served.hit {
-                hits += 1;
-            }
-            if served.error {
-                errors += 1;
-            }
-            if served.stale {
-                stale_served += 1;
-            }
-            if served.coalesced {
-                coalesced += 1;
-            }
-            latencies.push(served.latency_ms);
-            if served.degraded {
-                degraded_latencies.push(served.latency_ms);
-            }
-            if let Some(acc) = acc.as_mut() {
-                let t = req.ts.as_secs_f64();
-                let closed = acc.on_request(ReqSample {
-                    t_micros: req.ts.as_micros(),
-                    bytes: req.size,
-                    hit: served.hit,
-                    admitted: false,
-                    bypassed: false,
-                    error: served.error,
-                    stale: served.stale,
-                    coalesced: served.coalesced,
-                });
-                acc.on_evictions(evict_delta);
-                if served.latency_ms.is_finite() && served.latency_ms >= 0.0 {
-                    lat_hist.record((served.latency_ms * 1e3) as u64);
-                }
-                let obs = self.obs.as_ref().expect("acc implies obs");
-                if closed {
-                    // Boundary-only: hand finished windows to the recorder
-                    // (and through it to any streaming sink) right away,
-                    // after the eviction credit that may still land on the
-                    // just-closed window.
-                    obs.push_windows(acc.take_done());
-                }
-                if served.stale {
-                    obs.emit(Event::new(t, EventKind::StaleServe).field("id", req.id));
-                }
-                if served.error {
-                    obs.emit(Event::new(t, EventKind::ErrorServe).field("id", req.id));
-                }
-                if served.coalesced {
-                    obs.emit(Event::new(t, EventKind::Coalesce).field("id", req.id));
-                }
-                if let Some(tb) = tb.take() {
-                    obs.push_trace(tb.finish(served.latency_ms, acc.last_index()));
-                }
-            }
+            self.step(&mut st, warmup, i, req);
             if let Some(every) = self.config.series_every {
-                if measured.is_multiple_of(every as u64) {
+                let (measured, hits) = (st.ledger.measured, st.ledger.hits);
+                if i >= warmup && measured.is_multiple_of(every as u64) {
                     series.push((measured, hits as f64 / measured as f64));
                 }
             }
         }
 
-        peak_meta = peak_meta.max(self.policy.metadata_overhead_bytes());
-        if let (Some(obs), Some(acc)) = (self.obs.as_ref(), acc) {
-            obs.push_windows(acc.finish());
-            obs.counter_add("server.requests", measured);
-            obs.counter_add("server.hits", hits);
-            obs.counter_add("server.errors", errors);
-            obs.counter_add("server.stale_served", stale_served);
-            obs.counter_add("server.coalesced", coalesced);
-            obs.counter_add("server.retries", retries);
-            if lat_hist.total() > 0 {
-                obs.hist_merge("server.latency_us", &lat_hist);
-            }
-            obs.gauge_set(
-                "server.replay_wall_secs",
-                if obs.deterministic() {
-                    0.0
-                } else {
-                    wall.elapsed().as_secs_f64()
-                },
-            );
+        let wall_secs = wall.elapsed().as_secs_f64();
+        if let Some(obs) = self.finish(&mut st) {
+            set_wall_gauge(&obs, wall_secs);
         }
-        let (p90_latency_ms, p99_latency_ms) = pct2(&mut latencies);
-        let (degraded_p90_latency_ms, degraded_p99_latency_ms) = pct2(&mut degraded_latencies);
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
-        let duration = trace.duration().as_secs_f64().max(1e-9);
+        let name = self.policy.name().to_string();
+        st.ledger.report(name, trace, series, wall_secs)
+    }
 
-        ServerReport {
-            name: self.policy.name().to_string(),
-            trace: trace.name.clone(),
-            content_hit_pct: if measured == 0 {
-                0.0
-            } else {
-                hits as f64 / measured as f64 * 100.0
-            },
-            throughput_gbps: if busy_ms <= 0.0 {
-                0.0
-            } else {
-                bytes_served as f64 * 8.0 / (busy_ms / 1e3) / 1e9
-            },
-            peak_cpu_pct: if busy_ms <= 0.0 {
-                0.0
-            } else {
-                (compute_ms_total / busy_ms * 100.0).min(100.0)
-            },
-            peak_mem_gb: peak_meta as f64 / 1e9,
-            p90_latency_ms,
-            p99_latency_ms,
-            mean_latency_ms: mean,
-            wan_gbps: wan_bytes as f64 * 8.0 / duration / 1e9,
-            availability_pct: if measured == 0 {
-                100.0
-            } else {
-                (measured - errors) as f64 / measured as f64 * 100.0
-            },
-            errors_served: errors,
-            stale_served,
-            retries,
-            coalesced_fetches: coalesced,
-            breaker_opens: breaker.opens(),
-            breaker_closes: breaker.closes(),
-            degraded_p90_latency_ms,
-            degraded_p99_latency_ms,
-            series,
-            replay_wall_secs: wall.elapsed().as_secs_f64(),
+    /// Serves request `i` (global trace index) of a shard's subsequence
+    /// and books it in the shard's ledger. [`Self::replay`] is the
+    /// one-shard case; the sharded engine runs one step per request on the
+    /// shard that owns it.
+    pub(crate) fn step(&mut self, st: &mut ShardState, warmup: usize, i: usize, req: &Request) {
+        let measured = i >= warmup;
+        let mut tb = st.ledger.begin_trace(measured, i, req);
+        let served = self.serve(req, st, tb.as_mut());
+        if st.ledger.tick() {
+            st.ledger.sample_meta(self.policy.metadata_overhead_bytes());
+            // Freshness entries of evicted contents and expired in-flight
+            // windows.
+            self.prune_admitted();
+            st.expire_fetches(req.ts);
         }
+        let policy = &self.policy;
+        st.ledger.record(
+            req,
+            measured,
+            &served,
+            &st.breaker,
+            || policy.evictions(),
+            tb,
+        );
+    }
+
+    /// Flushes a shard's ledger with the server's counters and hands back
+    /// its recorder.
+    pub(crate) fn finish(&self, st: &mut ShardState) -> Option<Obs> {
+        let meta = self.policy.metadata_overhead_bytes();
+        let obs = st.ledger.flush("server", &st.breaker, meta)?;
+        obs.counter_add("server.hits", st.ledger.hits);
+        obs.counter_add("server.errors", st.ledger.errors);
+        Some(obs)
     }
 
     /// Runs the policy on `req`, timing the call (zeroed in deterministic
     /// mode) and accumulating total compute.
-    fn handle_timed(
-        &mut self,
-        req: &lhr_trace::Request,
-        compute_total: &mut f64,
-    ) -> (Outcome, f64) {
+    fn handle_timed(&mut self, req: &Request, compute_total: &mut f64) -> (Outcome, f64) {
         // In deterministic mode the measurement is zeroed anyway, so skip
         // the clock_gettime pair entirely — at engine line rates the vDSO
         // calls alone were ~10% of the serve path.
@@ -619,7 +794,7 @@ impl<P: CachePolicy> CdnServer<P> {
     /// untimed `contains` pre-check.
     fn hit_check_timed(
         &mut self,
-        req: &lhr_trace::Request,
+        req: &Request,
         compute_total: &mut f64,
     ) -> Option<(Outcome, f64)> {
         let t0 = (!self.config.deterministic).then(Instant::now);
@@ -629,18 +804,13 @@ impl<P: CachePolicy> CdnServer<P> {
         Some((outcome, compute_ms))
     }
 
-    /// Serves one request through the hardened path. Generic over the
-    /// in-flight table so the same code runs against [`CdnServer::replay`]'s
-    /// local map and the engine's shared [`crate::FetchTable`].
-    #[allow(clippy::too_many_arguments)]
+    /// Serves one request through the hardened path against shard state
+    /// `st` (fault plan, breaker, in-flight window; retries and policy
+    /// compute are counted in its ledger).
     pub(crate) fn serve(
         &mut self,
-        req: &lhr_trace::Request,
-        plan: &mut FaultPlan,
-        breaker: &mut CircuitBreaker,
-        in_flight: &mut impl InFlight,
-        retries: &mut u64,
-        compute_total: &mut f64,
+        req: &Request,
+        st: &mut ShardState,
         mut tb: Option<&mut TraceBuilder>,
     ) -> ServeOutcome {
         let lat = self.config.latency.clone();
@@ -649,12 +819,12 @@ impl<P: CachePolicy> CdnServer<P> {
 
         // Fused present-check + hit processing: one table probe on the hot
         // path instead of `contains` followed by `handle`.
-        if let Some((outcome, compute_ms)) = self.hit_check_timed(req, compute_total) {
+        if let Some((outcome, compute_ms)) = self.hit_check_timed(req, &mut st.ledger.compute_ms) {
             if outcome.is_hit() {
                 if let Some(tb) = tb.as_deref_mut() {
                     tb.push("edge_lookup", req.size, vec![kv("hit", true)]);
                 }
-                return self.serve_cached(req, compute_ms, &lat, &res, plan, breaker, retries, tb);
+                return self.serve_cached(req, compute_ms, &lat, &res, st, tb);
             }
             // Contract violation (the policy reported the object present but
             // then missed): fall through to the miss path; the policy has
@@ -662,9 +832,7 @@ impl<P: CachePolicy> CdnServer<P> {
             if let Some(tb) = tb.as_deref_mut() {
                 tb.push("edge_lookup", req.size, vec![kv("hit", false)]);
             }
-            return self.serve_miss_fetch(
-                req, compute_ms, false, &lat, &res, plan, breaker, in_flight, retries, tb,
-            );
+            return self.serve_miss_fetch(req, Some(compute_ms), &lat, &res, st, tb);
         }
         if let Some(tb) = tb.as_deref_mut() {
             tb.push("edge_lookup", req.size, vec![kv("hit", false)]);
@@ -672,7 +840,7 @@ impl<P: CachePolicy> CdnServer<P> {
 
         // Miss. A fetch for this object may already be in flight.
         if res.coalesce {
-            if let Some((done_at, ok)) = in_flight.get(req.id) {
+            if let Some(&(done_at, ok)) = st.in_flight.get(&req.id) {
                 if now < done_at {
                     let remaining_ms = (done_at - now).as_secs_f64() * 1e3;
                     if let Some(tb) = tb.as_deref_mut() {
@@ -688,55 +856,45 @@ impl<P: CachePolicy> CdnServer<P> {
                         // fetch completes, then is served over the edge link.
                         // The access still informs the policy's admission
                         // stats, but no second origin fetch happens.
-                        let (outcome, compute_ms) = self.handle_timed(req, compute_total);
+                        let (outcome, compute_ms) =
+                            self.handle_timed(req, &mut st.ledger.compute_ms);
                         if matches!(outcome, Outcome::MissAdmitted | Outcome::Hit) {
                             self.admitted_at.insert(req.id, now);
                         }
                         return ServeOutcome {
                             latency_ms: remaining_ms + lat.hit_latency_ms(req.size, compute_ms),
                             service_ms: lat.service_ms(req.size, true, compute_ms),
-                            wan: 0,
-                            hit: false,
-                            stale: false,
-                            error: false,
                             coalesced: true,
                             degraded: true,
+                            ..ServeOutcome::default()
                         };
                     }
                     // Sharing a fetch that is going to fail: the follower
                     // learns the failure when the leader does.
                     return ServeOutcome {
                         latency_ms: remaining_ms + lat.error_latency_ms(0.0),
-                        service_ms: 0.0,
-                        wan: 0,
-                        hit: false,
-                        stale: false,
                         error: true,
                         coalesced: true,
                         degraded: true,
+                        ..ServeOutcome::default()
                     };
                 }
-                in_flight.clear(req.id);
+                st.in_flight.remove(&req.id);
             }
         }
 
-        self.serve_miss_fetch(
-            req, 0.0, true, &lat, &res, plan, breaker, in_flight, retries, tb,
-        )
+        self.serve_miss_fetch(req, None, &lat, &res, st, tb)
     }
 
     /// The cached-object path: freshness check, revalidation (synchronous
     /// or stale-while-revalidate), stale-if-error fallback.
-    #[allow(clippy::too_many_arguments)]
     fn serve_cached(
         &mut self,
-        req: &lhr_trace::Request,
+        req: &Request,
         compute_ms: f64,
         lat: &LatencyModel,
         res: &ResilienceConfig,
-        plan: &mut FaultPlan,
-        breaker: &mut CircuitBreaker,
-        retries: &mut u64,
+        st: &mut ShardState,
         mut tb: Option<&mut TraceBuilder>,
     ) -> ServeOutcome {
         let fresh_limit = self.config.freshness_secs;
@@ -760,9 +918,8 @@ impl<P: CachePolicy> CdnServer<P> {
                 wan,
                 hit: true,
                 stale,
-                error: false,
-                coalesced: false,
                 degraded,
+                ..ServeOutcome::default()
             }
         };
 
@@ -792,7 +949,7 @@ impl<P: CachePolicy> CdnServer<P> {
             // The revalidation is off the user path — its origin_fetch steps
             // still land on the trace (they explain WAN traffic), but the
             // trace clock has already credited the user-visible hit latency.
-            let fetch = origin_fetch(lat, &res.retry, plan, breaker, now, retries, tb);
+            let fetch = origin_fetch(lat, &res.retry, st, now, tb);
             let mut wan = 0u64;
             if fetch.ok {
                 let changed = !self.revalidation_fresh(req.id, now);
@@ -813,15 +970,7 @@ impl<P: CachePolicy> CdnServer<P> {
         }
 
         // Synchronous revalidation with the origin.
-        let fetch = origin_fetch(
-            lat,
-            &res.retry,
-            plan,
-            breaker,
-            now,
-            retries,
-            tb.as_deref_mut(),
-        );
+        let fetch = origin_fetch(lat, &res.retry, st, now, tb.as_deref_mut());
         if fetch.ok {
             let still_fresh = self.revalidation_fresh(req.id, now);
             self.admitted_at.insert(req.id, now);
@@ -848,7 +997,7 @@ impl<P: CachePolicy> CdnServer<P> {
         // Revalidation failed: stale-if-error if the copy is still within
         // its stale window, otherwise an error response.
         if res.stale_if_error_secs > 0.0 && age_past_fresh <= res.stale_if_error_secs {
-            if let Some(tb) = tb.as_deref_mut() {
+            if let Some(tb) = tb {
                 tb.push("stale_serve", req.size, vec![kv("reason", "if_error")]);
             }
             return ok_hit(
@@ -862,58 +1011,47 @@ impl<P: CachePolicy> CdnServer<P> {
         ServeOutcome {
             latency_ms: lat.error_latency_ms(compute_ms) + fetch.delay_ms,
             service_ms: compute_ms,
-            wan: 0,
-            hit: false,
-            stale: false,
             error: true,
-            coalesced: false,
             degraded: true,
+            ..ServeOutcome::default()
         }
     }
 
     /// The miss path: hardened origin fetch, then admission on success.
-    /// `run_policy` is false when the policy already handled the request
-    /// (the contains/handle contract-violation fallback).
-    #[allow(clippy::too_many_arguments)]
+    /// `handled` carries the policy compute time when the policy already
+    /// handled the request (the contains/handle contract-violation
+    /// fallback); `None` runs the policy here.
     fn serve_miss_fetch(
         &mut self,
-        req: &lhr_trace::Request,
-        pre_compute_ms: f64,
-        run_policy: bool,
+        req: &Request,
+        handled: Option<f64>,
         lat: &LatencyModel,
         res: &ResilienceConfig,
-        plan: &mut FaultPlan,
-        breaker: &mut CircuitBreaker,
-        in_flight: &mut impl InFlight,
-        retries: &mut u64,
+        st: &mut ShardState,
         mut tb: Option<&mut TraceBuilder>,
     ) -> ServeOutcome {
         let now = req.ts;
-        let mut compute_total_local = 0.0;
-        let fetch = origin_fetch(
-            lat,
-            &res.retry,
-            plan,
-            breaker,
-            now,
-            retries,
-            tb.as_deref_mut(),
-        );
+        let pre_compute_ms = handled.unwrap_or(0.0);
+        let fetch = origin_fetch(lat, &res.retry, st, now, tb.as_deref_mut());
         if fetch.ok {
-            let compute_ms = if run_policy {
-                let (outcome, compute_ms) = self.handle_timed(req, &mut compute_total_local);
-                if matches!(outcome, Outcome::MissAdmitted) {
-                    self.admitted_at.insert(req.id, now);
+            let compute_ms = match handled {
+                None => {
+                    let (outcome, compute_ms) = self.handle_timed(req, &mut 0.0);
+                    if matches!(outcome, Outcome::MissAdmitted) {
+                        self.admitted_at.insert(req.id, now);
+                    }
+                    compute_ms
                 }
-                compute_ms
-            } else {
-                self.admitted_at.insert(req.id, now);
-                pre_compute_ms
+                Some(compute_ms) => {
+                    self.admitted_at.insert(req.id, now);
+                    compute_ms
+                }
             };
             if res.coalesce {
                 let fetch_ms = fetch.delay_ms + lat.origin_fetch_ms(req.size, fetch.rate_scale);
-                in_flight.set(req.id, now + Time::from_secs_f64(fetch_ms / 1e3), true);
-                if let Some(tb) = tb.as_deref_mut() {
+                let done_at = now + Time::from_secs_f64(fetch_ms / 1e3);
+                st.in_flight.insert(req.id, (done_at, true));
+                if let Some(tb) = tb {
                     tb.push("coalesce", req.size, vec![kv("leader", true)]);
                 }
             }
@@ -923,30 +1061,21 @@ impl<P: CachePolicy> CdnServer<P> {
                 service_ms: transfer_ms(req.size, lat.origin_gbps * fetch.rate_scale.max(1e-6))
                     + compute_ms,
                 wan: req.size,
-                hit: false,
-                stale: false,
-                error: false,
-                coalesced: false,
                 degraded: fetch.delay_ms > 0.0 || fetch.rate_scale < 1.0,
+                ..ServeOutcome::default()
             };
         }
         // Fetch failed and there is no cached copy to fall back on.
         if res.coalesce && fetch.attempted && fetch.delay_ms > 0.0 {
-            in_flight.set(
-                req.id,
-                now + Time::from_secs_f64(fetch.delay_ms / 1e3),
-                false,
-            );
+            let done_at = now + Time::from_secs_f64(fetch.delay_ms / 1e3);
+            st.in_flight.insert(req.id, (done_at, false));
         }
         ServeOutcome {
             latency_ms: lat.error_latency_ms(pre_compute_ms) + fetch.delay_ms,
             service_ms: pre_compute_ms,
-            wan: 0,
-            hit: false,
-            stale: false,
             error: true,
-            coalesced: false,
             degraded: true,
+            ..ServeOutcome::default()
         }
     }
 
@@ -973,7 +1102,6 @@ fn pseudo_uniform(id: ObjectId, epoch: u64) -> f64 {
 mod tests {
     use super::*;
     use lhr_policies::Lru;
-    use lhr_trace::Request;
 
     fn trace(n: usize, objects: u64, size: u64) -> Trace {
         let mut t = Trace::new("t");

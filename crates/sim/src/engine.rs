@@ -2,7 +2,7 @@
 
 use crate::metrics::{SeriesPoint, SimMetrics};
 use crate::policy::CachePolicy;
-use lhr_obs::series::{SeriesAcc, Totals};
+use lhr_obs::series::SeriesAcc;
 use lhr_obs::Obs;
 use lhr_trace::Trace;
 use std::time::Instant;
@@ -124,15 +124,7 @@ impl Simulator {
                     // Observed before `metrics` and the policy see the
                     // request, so each flushed window's delta covers
                     // exactly the requests and evictions it contained.
-                    acc.observe(req.ts.as_micros(), || Totals {
-                        requests: metrics.requests,
-                        hits: metrics.hits,
-                        misses_admitted: metrics.misses_admitted,
-                        misses_bypassed: metrics.misses_bypassed,
-                        bytes_requested: metrics.bytes_requested,
-                        bytes_hit: metrics.bytes_hit,
-                        evictions: policy.evictions(),
-                    });
+                    acc.observe(req.ts.as_micros(), || metrics.totals(policy.evictions()));
                 }
             }
             let outcome = policy.handle(req);
@@ -191,15 +183,7 @@ impl Simulator {
             // meta line with the first window record.
             obs.set_meta("policy", policy.name());
             obs.set_meta("trace", trace.name.as_str());
-            obs.push_windows(acc.finish_observed(Totals {
-                requests: metrics.requests,
-                hits: metrics.hits,
-                misses_admitted: metrics.misses_admitted,
-                misses_bypassed: metrics.misses_bypassed,
-                bytes_requested: metrics.bytes_requested,
-                bytes_hit: metrics.bytes_hit,
-                evictions: policy.evictions(),
-            }));
+            obs.push_windows(acc.finish_observed(metrics.totals(policy.evictions())));
             obs.counter_add("sim.requests", metrics.requests);
             obs.counter_add("sim.hits", metrics.hits);
             obs.counter_add("sim.evictions", policy.evictions());

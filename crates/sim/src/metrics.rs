@@ -1,5 +1,7 @@
 //! Hit/traffic accounting.
 
+use lhr_obs::series::Totals;
+
 /// Counters accumulated by the simulator over the measured part of a trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimMetrics {
@@ -35,6 +37,20 @@ lhr_util::impl_json!(struct SimMetrics {
 });
 
 impl SimMetrics {
+    /// The running totals the obs window series takes deltas of, with the
+    /// policy's lifetime eviction count.
+    pub fn totals(&self, evictions: u64) -> Totals {
+        Totals {
+            requests: self.requests,
+            hits: self.hits,
+            misses_admitted: self.misses_admitted,
+            misses_bypassed: self.misses_bypassed,
+            bytes_requested: self.bytes_requested,
+            bytes_hit: self.bytes_hit,
+            evictions,
+        }
+    }
+
     /// Object hit probability — the paper's headline "content hit" metric.
     pub fn object_hit_ratio(&self) -> f64 {
         if self.requests == 0 {

@@ -27,7 +27,7 @@
 use crate::metrics::SimMetrics;
 use crate::policy::CachePolicy;
 use crate::SimResult;
-use lhr_obs::series::{SeriesAcc, Totals};
+use lhr_obs::series::SeriesAcc;
 use lhr_obs::Obs;
 use lhr_trace::{ObjectId, Request, Trace};
 use lhr_util::sync::mpsc;
@@ -35,8 +35,8 @@ use std::time::Instant;
 
 /// Maps an object id to its owning shard with a splitmix-style avalanche,
 /// so sequential ids spread across shards. This is the one hash every
-/// sharded component (the engine, [`lhr-proto`'s] `ConcurrentCache` and
-/// `FetchTable`) must agree on.
+/// sharded component (this router, and through it [`lhr-proto`'s] sharded
+/// engine and fleet) must agree on.
 ///
 /// [`lhr-proto`'s]: https://docs.rs/lhr-proto
 #[inline]
@@ -232,18 +232,6 @@ struct SimShard<P> {
 }
 
 impl<P: CachePolicy> SimShard<P> {
-    fn totals(&self) -> Totals {
-        Totals {
-            requests: self.metrics.requests,
-            hits: self.metrics.hits,
-            misses_admitted: self.metrics.misses_admitted,
-            misses_bypassed: self.metrics.misses_bypassed,
-            bytes_requested: self.metrics.bytes_requested,
-            bytes_hit: self.metrics.bytes_hit,
-            evictions: self.policy.evictions(),
-        }
-    }
-
     fn step(&mut self, warmup: usize, i: usize, req: &Request) {
         let measured = i >= warmup;
         if measured {
@@ -251,13 +239,11 @@ impl<P: CachePolicy> SimShard<P> {
                 self.measured_started = true;
                 self.warmup_evictions = self.policy.evictions();
             }
-            if self.acc.is_some() {
-                // Split borrows: snapshot before the policy sees the request
-                // (same ordering as the single-threaded engine).
-                let totals = self.totals();
-                if let Some(acc) = self.acc.as_mut() {
-                    acc.observe(req.ts.as_micros(), || totals);
-                }
+            if let Some(acc) = self.acc.as_mut() {
+                // Snapshot before the policy sees the request (same
+                // ordering as the single-threaded engine).
+                let (metrics, policy) = (&self.metrics, &self.policy);
+                acc.observe(req.ts.as_micros(), || metrics.totals(policy.evictions()));
             }
         }
         let outcome = self.policy.handle(req);
@@ -395,15 +381,7 @@ impl ShardedSimulator {
             let mut shard_obs = Vec::with_capacity(shards.len());
             for shard in &mut shards {
                 if let (Some(obs), Some(acc)) = (shard.obs.take(), shard.acc.take()) {
-                    let totals = Totals {
-                        requests: shard.metrics.requests,
-                        hits: shard.metrics.hits,
-                        misses_admitted: shard.metrics.misses_admitted,
-                        misses_bypassed: shard.metrics.misses_bypassed,
-                        bytes_requested: shard.metrics.bytes_requested,
-                        bytes_hit: shard.metrics.bytes_hit,
-                        evictions: shard.policy.evictions(),
-                    };
+                    let totals = shard.metrics.totals(shard.policy.evictions());
                     obs.push_windows(acc.finish_observed(totals));
                     obs.counter_add("sim.requests", shard.metrics.requests);
                     obs.counter_add("sim.hits", shard.metrics.hits);

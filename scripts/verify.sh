@@ -24,6 +24,11 @@ cargo test -q --doc --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo clippy (lhr-proto, lhr-sim; warnings are errors)"
+# --no-deps lints exactly these two crates, not the workspace crates they
+# depend on.
+cargo clippy --offline --no-deps -p lhr-proto -p lhr-sim -- -D warnings
+
 echo "==> gbm bench smoke (tiny scale)"
 LHR_BENCH_WARMUP_MS=20 LHR_BENCH_MEASURE_MS=100 \
   cargo run --release --offline -p lhr-bench --bin gbm -- --scale tiny

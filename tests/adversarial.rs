@@ -9,36 +9,81 @@ use lhr_repro::policies::{
     s4lru, slru, AdaptSize, Arc, BLru, Fifo, Gdsf, Hawkeye, Hyperbolic, Lfo, LfuDa, Lhd, Lrb, Lru,
     LruK, PopCache, RandomEviction, RlCache, TinyLfu, WTinyLfu,
 };
-use lhr_repro::proto::{ConcurrentCache, TieredCache};
+use lhr_repro::proto::{EngineConfig, FleetConfig, FleetEngine, ShardedEngine};
+use lhr_repro::sim::shard::{shard_seed, RouteConfig};
 use lhr_repro::sim::{CachePolicy, SimConfig, Simulator};
 use lhr_repro::trace::{Request, Time, Trace};
 
-/// The serving-path composition wrappers (sharded and two-tier), built over
-/// representative inner policies. These are CachePolicy implementations in
-/// their own right and must satisfy the same correctness invariants.
-fn wrapper_policies(capacity: u64) -> Vec<Box<dyn CachePolicy>> {
-    let seed = 99;
-    vec![
-        Box::new(ConcurrentCache::new(capacity, 8, Lru::new)),
-        Box::new(ConcurrentCache::new(capacity, 3, |cap| {
-            TinyLfu::new(cap, 1 << 10)
-        })),
-        Box::new(TieredCache::new(
-            Lru::new(capacity / 10),
-            Lru::new(capacity - capacity / 10),
+mod common;
+use common::CapacityChecked;
+
+/// The inner policies the serving paths are exercised with.
+const SERVING_POLICIES: [&str; 3] = ["LRU", "TinyLFU", "LHR"];
+
+/// One capacity-checked policy slice of a serving path.
+fn serving_policy(
+    name: &str,
+    capacity: u64,
+    seed: u64,
+) -> CapacityChecked<Box<dyn CachePolicy + Send>> {
+    CapacityChecked::new(match name {
+        "LRU" => Box::new(Lru::new(capacity)),
+        "TinyLFU" => Box::new(TinyLfu::new(capacity, 1 << 10)),
+        _ => Box::new(LhrCache::new(
+            capacity,
+            LhrConfig {
+                seed,
+                min_window_requests: 64,
+                ..LhrConfig::default()
+            },
         )),
-        Box::new(TieredCache::new(
-            Lru::new(capacity / 10),
-            LhrCache::new(
-                capacity - capacity / 10,
-                LhrConfig {
-                    seed,
-                    min_window_requests: 64,
-                    ..LhrConfig::default()
-                },
-            ),
-        )),
-    ]
+    })
+}
+
+/// Replays `trace` per serving policy through the sharded engine (8
+/// shards, 2 threads) and a 4-node fleet over an infallible origin. Every
+/// policy slice asserts its capacity invariants on every call; this checks
+/// that each path served every request without an error. Returns
+/// `(policy, engine hit %, fleet edge hit %)`.
+fn assert_serving_paths_survive(trace: &Trace, capacity: u64) -> Vec<(&'static str, f64, f64)> {
+    let n = trace.len() as u64;
+    let route = RouteConfig {
+        threads: 2,
+        ..RouteConfig::default()
+    };
+    SERVING_POLICIES
+        .iter()
+        .map(|&name| {
+            let engine = ShardedEngine::new(EngineConfig {
+                n_shards: 8,
+                route: route.clone(),
+                ..EngineConfig::new(capacity)
+            })
+            .replay(trace, |shard, cap, _obs| {
+                serving_policy(name, cap, shard_seed(99, shard))
+            });
+            assert_eq!(
+                engine.per_shard_requests.iter().sum::<u64>(),
+                n,
+                "{name}: the engine lost requests"
+            );
+            assert_eq!(engine.report.errors_served, 0, "{name}: engine errors");
+
+            let mut config = FleetConfig::new(capacity);
+            config.route = route.clone();
+            let fleet = FleetEngine::new(config).replay(trace, |node, shard, cap, _obs| {
+                serving_policy(name, cap, shard_seed(shard_seed(99, node), shard))
+            });
+            assert_eq!(fleet.requests, n, "{name}: the fleet lost requests");
+            assert_eq!(fleet.per_node_requests.iter().sum::<u64>(), n, "{name}");
+            assert_eq!(
+                fleet.errors_served + fleet.unrouted,
+                0,
+                "{name}: fleet errors"
+            );
+            (name, engine.report.content_hit_pct, fleet.edge_hit_pct)
+        })
+        .collect()
 }
 
 fn all_policies(capacity: u64) -> Vec<Box<dyn CachePolicy>> {
@@ -217,34 +262,21 @@ fn adversarial_flip_flop_popularity() {
 }
 
 #[test]
-fn wrappers_survive_thrash_loop() {
-    // Cyclic working set 2× the cache: the LRU worst case, now through the
-    // sharded and tiered wrappers.
+fn serving_paths_survive_thrash_loop() {
+    // Cyclic working set 2× the cache: the LRU worst case, through the
+    // sharded engine and the fleet.
     let trace = Trace::from_requests(
         "loop",
         (0..10_000u64)
             .map(|i| Request::new(Time::from_secs(i), i % 20, 10_000))
             .collect(),
     );
-    for mut policy in wrapper_policies(100_000) {
-        let result = Simulator::new(SimConfig::default()).run(&mut policy, &trace);
-        assert_eq!(
-            result.metrics.hits + result.metrics.misses(),
-            result.metrics.requests,
-            "{}: accounting broken",
-            result.policy
-        );
-        assert!(
-            policy.used_bytes() <= policy.capacity(),
-            "{}: capacity exceeded",
-            result.policy
-        );
-    }
+    assert_serving_paths_survive(&trace, 100_000);
 }
 
 #[test]
-fn wrappers_survive_identical_timestamp_bursts() {
-    // Whole bursts at one instant, spread across shards and tiers: zero
+fn serving_paths_survive_identical_timestamp_bursts() {
+    // Whole bursts at one instant, spread across shards and nodes: zero
     // inter-request times must not divide-by-zero anywhere, and repeated
     // requests within a burst must hit.
     let mut reqs = Vec::new();
@@ -255,43 +287,29 @@ fn wrappers_survive_identical_timestamp_bursts() {
         }
     }
     let trace = Trace::from_requests("burst", reqs);
-    for mut policy in wrapper_policies(1_000_000) {
-        let name = policy.name().to_string();
-        let result = Simulator::new(SimConfig::default()).run(&mut policy, &trace);
-        assert_eq!(
-            result.metrics.hits + result.metrics.misses(),
-            result.metrics.requests,
-            "{name}: accounting broken"
-        );
-        assert!(policy.used_bytes() <= policy.capacity(), "{name}: overflow");
+    for (name, engine_hit_pct, fleet_hit_pct) in assert_serving_paths_survive(&trace, 1_000_000) {
         // Every object repeats immediately at the same timestamp; with
         // room for the full working set at least those repeats must hit.
         assert!(
-            result.metrics.object_hit_ratio() >= 0.5,
-            "{name}: only {:.1}% hits on immediate same-instant repeats",
-            result.metrics.object_hit_ratio() * 100.0
+            engine_hit_pct >= 50.0 && fleet_hit_pct >= 50.0,
+            "{name}: only {engine_hit_pct:.1}% (engine) / {fleet_hit_pct:.1}% (fleet) hits \
+             on immediate same-instant repeats"
         );
     }
 }
 
 #[test]
-fn wrappers_never_admit_oversized_objects() {
+fn serving_paths_never_admit_oversized_objects() {
     let capacity = 80_000u64;
     let mut reqs = Vec::new();
     for i in 0..400u64 {
         // Alternate small cacheable objects with objects larger than any
-        // shard slice / tier.
+        // shard or node slice.
         reqs.push(Request::new(Time::from_secs(i), i % 10, 1_000));
         reqs.push(Request::new(Time::from_secs(i), 1_000 + i % 3, capacity));
     }
     let trace = Trace::from_requests("oversized", reqs);
-    for mut policy in wrapper_policies(capacity) {
-        let name = policy.name().to_string();
-        for req in trace.iter() {
-            policy.handle(req);
-            assert!(policy.used_bytes() <= policy.capacity(), "{name} overflow");
-        }
-    }
+    assert_serving_paths_survive(&trace, capacity);
 }
 
 #[test]

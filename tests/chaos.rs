@@ -9,11 +9,15 @@
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::policies::Lru;
 use lhr_repro::proto::{
-    presets, BreakerConfig, CdnServer, ConcurrentCache, FaultConfig, ResilienceConfig, RetryPolicy,
-    ServerConfig, TieredCache,
+    presets, BreakerConfig, CdnServer, EngineConfig, FaultConfig, FleetConfig, FleetEngine,
+    ResilienceConfig, RetryPolicy, ServerConfig, ServerReport, ShardedEngine,
 };
+use lhr_repro::sim::shard::RouteConfig;
 use lhr_repro::sim::{CachePolicy, Outcome};
 use lhr_repro::trace::{ObjectId, Request, Time, Trace};
+
+mod common;
+use common::CapacityChecked;
 
 const MB: u64 = 1 << 20;
 
@@ -377,6 +381,9 @@ fn coalescing_collapses_a_burst_of_misses_into_one_fetch() {
     );
 }
 
+/// One serving-path replay, deferred so each case builds fresh state.
+type Replay<'a> = Box<dyn FnOnce() -> ServerReport + 'a>;
+
 #[test]
 fn capacity_and_accounting_invariants_under_all_presets() {
     let trace = mixed_trace(3_000, 42);
@@ -385,34 +392,18 @@ fn capacity_and_accounting_invariants_under_all_presets() {
     for preset in FaultConfig::preset_names() {
         let config = presets::fault_preset(preset, 9, duration).expect("preset");
 
-        // Each policy wrapper the serving path supports, replayed under
-        // this preset; closures so each gets a fresh instance.
-        let checks: Vec<(
-            &str,
-            Box<dyn FnOnce() -> (u64, u64, lhr_repro::proto::ServerReport)>,
-        )> = vec![
+        // Each serving path, replayed under this preset; closures so each
+        // gets a fresh instance. Every policy (slice) asserts its capacity
+        // invariants on every call.
+        let checks: Vec<(&str, Replay<'_>)> = vec![
             (
                 "lru",
                 Box::new({
                     let config = config.clone();
                     let trace = &trace;
                     move || {
-                        let mut s = CdnServer::new(Lru::new(capacity), config);
-                        let r = s.replay(trace);
-                        (s.policy().used_bytes(), s.policy().capacity(), r)
-                    }
-                }),
-            ),
-            (
-                "tiered",
-                Box::new({
-                    let config = config.clone();
-                    let trace = &trace;
-                    move || {
-                        let cache = TieredCache::new(Lru::new(capacity / 10), Lru::new(capacity));
-                        let mut s = CdnServer::new(cache, config);
-                        let r = s.replay(trace);
-                        (s.policy().used_bytes(), s.policy().capacity(), r)
+                        let cache = CapacityChecked::new(Lru::new(capacity));
+                        CdnServer::new(cache, config).replay(trace)
                     }
                 }),
             ),
@@ -422,14 +413,20 @@ fn capacity_and_accounting_invariants_under_all_presets() {
                     let config = config.clone();
                     let trace = &trace;
                     move || {
-                        let cache = ConcurrentCache::new(capacity, 8, Lru::new);
-                        let mut s = CdnServer::new(cache, config);
-                        let r = s.replay(trace);
-                        (
-                            CachePolicy::used_bytes(s.policy()),
-                            CachePolicy::capacity(s.policy()),
-                            r,
-                        )
+                        let engine = ShardedEngine::new(EngineConfig {
+                            n_shards: 8,
+                            route: RouteConfig {
+                                threads: 2,
+                                ..RouteConfig::default()
+                            },
+                            server: config,
+                            ..EngineConfig::new(capacity)
+                        });
+                        engine
+                            .replay(trace, |_shard, cap, _obs| {
+                                CapacityChecked::new(Lru::new(cap))
+                            })
+                            .report
                     }
                 }),
             ),
@@ -439,29 +436,23 @@ fn capacity_and_accounting_invariants_under_all_presets() {
                     let config = config.clone();
                     let trace = &trace;
                     move || {
-                        let cache = LhrCache::new(
+                        let cache = CapacityChecked::new(LhrCache::new(
                             capacity,
                             LhrConfig {
                                 seed: 3,
                                 min_window_requests: 64,
                                 ..LhrConfig::default()
                             },
-                        );
-                        let mut s = CdnServer::new(cache, config);
-                        let r = s.replay(trace);
-                        (s.policy().used_bytes(), s.policy().capacity(), r)
+                        ));
+                        CdnServer::new(cache, config).replay(trace)
                     }
                 }),
             ),
         ];
 
         for (name, check) in checks {
-            let (used, cap, r) = check();
+            let r = check();
             let n = trace.len() as u64;
-            assert!(
-                used <= cap,
-                "{preset}/{name}: capacity violated ({used} > {cap})"
-            );
             assert!(
                 (0.0..=100.0).contains(&r.availability_pct),
                 "{preset}/{name}: availability {}",
@@ -497,6 +488,39 @@ fn capacity_and_accounting_invariants_under_all_presets() {
                 assert_eq!(r.breaker_opens, 0, "{name}");
                 assert!((r.availability_pct - 100.0).abs() < 1e-9, "{name}");
             }
+        }
+
+        // The fleet: its shield shards run the same hardened origin path
+        // under this preset, behind capacity-checked node slices.
+        let mut fleet = FleetConfig::new(capacity);
+        fleet.route.threads = 2;
+        fleet.server = config.clone();
+        let r = FleetEngine::new(fleet).replay(&trace, |_node, _shard, cap, _obs| {
+            CapacityChecked::new(Lru::new(cap))
+        });
+        let n = trace.len() as u64;
+        assert_eq!(r.requests, n, "{preset}/fleet");
+        for pct in [r.availability_pct, r.edge_hit_pct, r.byte_hit_pct] {
+            assert!((0.0..=100.0).contains(&pct), "{preset}/fleet: {pct}");
+        }
+        assert!(r.errors_served + r.unrouted <= n, "{preset}/fleet");
+        assert!(r.stale_served <= n, "{preset}/fleet");
+        assert!(r.coalesced_fetches <= n, "{preset}/fleet");
+        // Availability is exactly the fraction neither errored nor unrouted.
+        let expected = (n - r.errors_served - r.unrouted) as f64 / n as f64 * 100.0;
+        assert!(
+            (r.availability_pct - expected).abs() < 1e-6,
+            "{preset}/fleet: availability {} vs errors {} + unrouted {}",
+            r.availability_pct,
+            r.errors_served,
+            r.unrouted
+        );
+        assert!(r.breaker_closes <= r.breaker_opens, "{preset}/fleet");
+        if *preset == "none" {
+            assert_eq!(r.errors_served + r.unrouted, 0, "fleet");
+            assert_eq!(r.retries, 0, "fleet");
+            assert_eq!(r.breaker_opens, 0, "fleet");
+            assert!((r.availability_pct - 100.0).abs() < 1e-9, "fleet");
         }
     }
 }
