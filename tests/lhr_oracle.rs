@@ -19,6 +19,10 @@ use lhr_repro::trace::synth::{production, ProductionScale};
 use lhr_repro::trace::{ObjectId, Request, Trace, TraceStats};
 use std::sync::{Arc, Mutex};
 
+#[path = "common/pin.rs"]
+mod pin;
+use pin::pin;
+
 /// Policy and trace seed (the CLI's default `--seed`).
 const SEED: u64 = 42;
 
@@ -132,12 +136,6 @@ fn replay(
     (report, stats)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// The stable report with the metadata estimate masked out.
 fn masked_json(report: &EngineReport) -> String {
     let mut masked = report.clone();
@@ -157,7 +155,7 @@ fn check(pinned: &Pinned) {
             "threads {threads}: per-shard LHR stats diverged from the pinned run"
         );
         assert_eq!(
-            (fnv1a(json.as_bytes()), json.len()),
+            pin(&json),
             (pinned.digest, pinned.len),
             "threads {threads}: stable report diverged from the pinned run:\n{json}"
         );
