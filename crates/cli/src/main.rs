@@ -578,7 +578,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         )
     };
 
-    if let Some((threads, n_shards)) = shard_args(args)? {
+    let result = if let Some((threads, n_shards)) = shard_args(args)? {
         use lhr_sim::shard::{RouteConfig, ShardedSimConfig, ShardedSimulator};
         registry::build(name, capacity, seed, &trace).ok_or_else(unknown)?;
         let mut sim = ShardedSimulator::new(ShardedSimConfig {
@@ -593,36 +593,20 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             sim = sim.with_obs(o.clone());
         }
         let shard_capacity = (capacity / n_shards as u64).max(1);
-        let result = sim.run(&trace, |shard, shard_obs| {
+        sim.run(&trace, |shard, shard_obs| {
             registry::build_for_shard(name, shard_capacity, seed, &trace, shard, shard_obs)
                 .expect("name validated above")
-        });
-        println!(
-            "{} @ {:.2} GB on {}: hit {:.2}%  byte-hit {:.2}%  WAN {:.3} Gbps  \
-             evictions {}  wall {:.2}s",
-            result.policy,
-            capacity as f64 / 1e9,
-            result.trace,
-            result.metrics.object_hit_ratio() * 100.0,
-            result.metrics.byte_hit_ratio() * 100.0,
-            result.metrics.wan_gbps(),
-            result.evictions,
-            result.wall_secs,
-        );
-        if let Some((o, path)) = &obs {
-            finish_obs(o, path)?;
+        })
+    } else {
+        let mut policy =
+            registry::build_with_obs(name, capacity, seed, &trace, obs.as_ref().map(|(o, _)| o))
+                .ok_or_else(unknown)?;
+        let mut sim = Simulator::new(sim_config(args)?);
+        if let Some((o, _)) = &obs {
+            sim = sim.with_obs(o.clone());
         }
-        return Ok(());
-    }
-
-    let mut policy =
-        registry::build_with_obs(name, capacity, seed, &trace, obs.as_ref().map(|(o, _)| o))
-            .ok_or_else(unknown)?;
-    let mut sim = Simulator::new(sim_config(args)?);
-    if let Some((o, _)) = &obs {
-        sim = sim.with_obs(o.clone());
-    }
-    let result = sim.run(&mut policy, &trace);
+        sim.run(&mut policy, &trace)
+    };
     println!(
         "{} @ {:.2} GB on {}: hit {:.2}%  byte-hit {:.2}%  WAN {:.3} Gbps  \
          evictions {}  wall {:.2}s",

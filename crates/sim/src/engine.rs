@@ -1,10 +1,10 @@
 //! The simulation driver.
 
 use crate::metrics::{SeriesPoint, SimMetrics};
-use crate::policy::CachePolicy;
+use crate::policy::{CachePolicy, Outcome};
 use lhr_obs::series::SeriesAcc;
 use lhr_obs::Obs;
-use lhr_trace::Trace;
+use lhr_trace::{Request, Trace};
 use std::time::Instant;
 
 /// Simulator configuration.
@@ -88,126 +88,203 @@ impl Simulator {
 
     /// Runs `policy` over `trace`, returning metrics for the measured
     /// (post-warmup) portion.
+    ///
+    /// This is the one-shard case of [`crate::ShardedSimulator`]: the same
+    /// [`SimBook`] step and finish, run inline on the caller's thread and
+    /// booking straight into the attached recorder.
     pub fn run<P: CachePolicy + ?Sized>(&self, policy: &mut P, trace: &Trace) -> SimResult {
-        let mut metrics = SimMetrics::default();
+        let warmup = self.config.warmup_requests;
+        let every = self.config.series_every.map(|k| k.max(1) as u64);
         let mut series = Vec::new();
-        let mut bucket_hits = 0u64;
-        let mut bucket_requests = 0u64;
-        let mut peak_meta = 0u64;
-        let start_ts = trace
-            .requests
-            .get(
-                self.config
-                    .warmup_requests
-                    .min(trace.len().saturating_sub(1)),
-            )
-            .map(|r| r.ts);
-
-        // Obs state lives outside the request loop: a local accumulator
-        // (no locking per request) fed through the delta fast path — the
-        // engine already keeps cumulative counters in `metrics`, so per
-        // request the series costs one boundary compare, and the totals
-        // snapshot (including the eviction-counter read through the trait
-        // object, which costs more than the rest of the instrumentation)
-        // only happens at window edges.
+        let mut hits_at_point = 0u64;
         let _run_span = self.obs.as_ref().map(|o| o.span("sim.run"));
-        let mut acc = self.obs.as_ref().map(|o| SeriesAcc::new(o.window()));
-        let mut warmup_evictions = 0u64;
+        let mut book = SimBook::new(self.obs.clone());
 
         let wall_start = Instant::now();
         for (i, req) in trace.iter().enumerate() {
-            if let Some(acc) = acc.as_mut() {
-                if i >= self.config.warmup_requests {
-                    if i == self.config.warmup_requests {
-                        warmup_evictions = policy.evictions();
-                    }
-                    // Observed before `metrics` and the policy see the
-                    // request, so each flushed window's delta covers
-                    // exactly the requests and evictions it contained.
-                    acc.observe(req.ts.as_micros(), || metrics.totals(policy.evictions()));
-                }
-            }
-            let outcome = policy.handle(req);
-            debug_assert!(
-                policy.used_bytes() <= policy.capacity(),
-                "policy {} overflowed: used {} > capacity {}",
-                policy.name(),
-                policy.used_bytes(),
-                policy.capacity()
-            );
-            if i % 1024 == 0 {
-                peak_meta = peak_meta.max(policy.metadata_overhead_bytes());
-            }
-            if i < self.config.warmup_requests {
-                continue;
-            }
-
-            metrics.requests += 1;
-            metrics.bytes_requested += req.size as u128;
-            match outcome {
-                crate::policy::Outcome::Hit => {
-                    metrics.hits += 1;
-                    metrics.bytes_hit += req.size as u128;
-                    bucket_hits += 1;
-                }
-                crate::policy::Outcome::MissAdmitted => metrics.misses_admitted += 1,
-                crate::policy::Outcome::MissBypassed => metrics.misses_bypassed += 1,
-            }
-            bucket_requests += 1;
-            if let Some(every) = self.config.series_every {
-                if bucket_requests as usize >= every {
-                    series.push(SeriesPoint {
-                        requests: metrics.requests,
-                        time_secs: req.ts.as_secs_f64(),
-                        cumulative_hit_ratio: metrics.object_hit_ratio(),
-                        window_hit_ratio: bucket_hits as f64 / bucket_requests as f64,
-                    });
-                    bucket_hits = 0;
-                    bucket_requests = 0;
-                }
+            let measured = book.step(policy, warmup, i, req);
+            let Some(every) = every else { continue };
+            let m = &book.metrics;
+            if measured && m.requests.is_multiple_of(every) {
+                series.push(SeriesPoint {
+                    requests: m.requests,
+                    time_secs: req.ts.as_secs_f64(),
+                    cumulative_hit_ratio: m.object_hit_ratio(),
+                    window_hit_ratio: (m.hits - hits_at_point) as f64 / every as f64,
+                });
+                hits_at_point = m.hits;
             }
         }
         let wall_secs = wall_start.elapsed().as_secs_f64();
-        peak_meta = peak_meta.max(policy.metadata_overhead_bytes());
 
-        if let (Some(start), Some(last)) = (start_ts, trace.requests.last()) {
-            metrics.duration_secs = last.ts.saturating_sub(start).as_secs_f64();
-        }
-
-        if let (Some(obs), Some(acc)) = (self.obs.as_ref(), acc) {
-            if trace.len() <= self.config.warmup_requests {
-                // The warmup-boundary sample never ran: everything was warmup.
-                warmup_evictions = policy.evictions();
-            }
+        if let Some(obs) = &self.obs {
             // Metadata before the windows: a streaming sink writes its
             // meta line with the first window record.
             obs.set_meta("policy", policy.name());
             obs.set_meta("trace", trace.name.as_str());
-            obs.push_windows(acc.finish_observed(metrics.totals(policy.evictions())));
-            obs.counter_add("sim.requests", metrics.requests);
-            obs.counter_add("sim.hits", metrics.hits);
-            obs.counter_add("sim.evictions", policy.evictions());
-            if warmup_evictions > 0 {
-                obs.counter_add("sim.warmup_evictions", warmup_evictions);
-            }
-            obs.gauge_set("sim.peak_metadata_bytes", peak_meta as f64);
-            // The one wall-clock quantity; zeroed under the determinism
-            // contract so fixed-seed exports stay byte-identical.
-            obs.gauge_set(
-                "sim.wall_secs",
-                if obs.deterministic() { 0.0 } else { wall_secs },
-            );
         }
-
+        book.finish(policy);
         SimResult {
             policy: policy.name().to_string(),
-            trace: trace.name.clone(),
-            metrics,
             series,
-            wall_secs,
-            peak_metadata_bytes: peak_meta,
-            evictions: policy.evictions(),
+            ..close_run(trace, warmup, [&book], self.obs.as_ref(), wall_secs)
         }
+    }
+}
+
+/// One shard's book of a simulation run: the measured metrics, the obs
+/// window series and its recorder, peak metadata and the warmup eviction
+/// count. [`Simulator::run`] keeps one for the whole trace;
+/// [`crate::ShardedSimulator`] keeps one per shard.
+pub(crate) struct SimBook {
+    pub(crate) metrics: SimMetrics,
+    /// The recorder this book's windows and counters go to.
+    pub(crate) obs: Option<Obs>,
+    acc: Option<SeriesAcc>,
+    peak_meta: u64,
+    /// Requests stepped so far, warmup included.
+    seen: u64,
+    /// The policy's evictions when its first measured request arrived.
+    warmup_evictions: Option<u64>,
+    /// The policy's evictions at [`SimBook::finish`].
+    evictions: u64,
+}
+
+impl SimBook {
+    pub(crate) fn new(obs: Option<Obs>) -> Self {
+        SimBook {
+            metrics: SimMetrics::default(),
+            acc: obs.as_ref().map(|o| SeriesAcc::new(o.window())),
+            obs,
+            peak_meta: 0,
+            seen: 0,
+            warmup_evictions: None,
+            evictions: 0,
+        }
+    }
+
+    /// Hands request `i` of the trace to `policy` and books it. Returns
+    /// whether the request is measured (`i >= warmup`).
+    #[inline]
+    pub(crate) fn step<P: CachePolicy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        warmup: usize,
+        i: usize,
+        req: &Request,
+    ) -> bool {
+        let measured = i >= warmup;
+        if measured {
+            if self.warmup_evictions.is_none() {
+                self.warmup_evictions = Some(policy.evictions());
+            }
+            if let Some(acc) = self.acc.as_mut() {
+                // Observed before `metrics` and the policy see the
+                // request, so each flushed window's delta covers exactly
+                // the requests and evictions it contained. The snapshot
+                // (and its eviction-counter read through the trait object)
+                // only runs at window edges.
+                let metrics = &self.metrics;
+                acc.observe(req.ts.as_micros(), || metrics.totals(policy.evictions()));
+            }
+        }
+        let outcome = policy.handle(req);
+        debug_assert!(
+            policy.used_bytes() <= policy.capacity(),
+            "policy {} overflowed: used {} > capacity {}",
+            policy.name(),
+            policy.used_bytes(),
+            policy.capacity()
+        );
+        if self.seen.is_multiple_of(1024) {
+            self.peak_meta = self.peak_meta.max(policy.metadata_overhead_bytes());
+        }
+        self.seen += 1;
+        if !measured {
+            return false;
+        }
+        self.metrics.requests += 1;
+        self.metrics.bytes_requested += req.size as u128;
+        match outcome {
+            Outcome::Hit => {
+                self.metrics.hits += 1;
+                self.metrics.bytes_hit += req.size as u128;
+            }
+            Outcome::MissAdmitted => self.metrics.misses_admitted += 1,
+            Outcome::MissBypassed => self.metrics.misses_bypassed += 1,
+        }
+        true
+    }
+
+    /// Closes the book after the last request: takes the final metadata
+    /// sample and, when recording, pushes the window series and the
+    /// per-shard `sim.*` counters into the book's recorder.
+    pub(crate) fn finish<P: CachePolicy + ?Sized>(&mut self, policy: &P) {
+        self.peak_meta = self.peak_meta.max(policy.metadata_overhead_bytes());
+        self.evictions = policy.evictions();
+        if let (Some(obs), Some(acc)) = (&self.obs, self.acc.take()) {
+            obs.push_windows(acc.finish_observed(self.metrics.totals(self.evictions)));
+            obs.counter_add("sim.requests", self.metrics.requests);
+            obs.counter_add("sim.hits", self.metrics.hits);
+            obs.counter_add("sim.evictions", self.evictions);
+        }
+    }
+}
+
+/// Merges finished books in shard order into a run's result (the caller
+/// fills in the policy name and series), stamps the measured interval's
+/// trace-time duration, and records the run-level counter and gauges into
+/// `obs`.
+pub(crate) fn close_run<'a>(
+    trace: &Trace,
+    warmup: usize,
+    books: impl IntoIterator<Item = &'a SimBook>,
+    obs: Option<&Obs>,
+    wall_secs: f64,
+) -> SimResult {
+    let mut metrics = SimMetrics::default();
+    let (mut peak_meta, mut evictions, mut warmup_evictions) = (0u64, 0u64, 0u64);
+    for book in books {
+        metrics.requests += book.metrics.requests;
+        metrics.hits += book.metrics.hits;
+        metrics.misses_admitted += book.metrics.misses_admitted;
+        metrics.misses_bypassed += book.metrics.misses_bypassed;
+        metrics.bytes_requested += book.metrics.bytes_requested;
+        metrics.bytes_hit += book.metrics.bytes_hit;
+        peak_meta += book.peak_meta;
+        evictions += book.evictions;
+        // A book that never saw a measured request was all warmup.
+        warmup_evictions += book.warmup_evictions.unwrap_or(book.evictions);
+    }
+    let start_ts = trace
+        .requests
+        .get(warmup.min(trace.len().saturating_sub(1)))
+        .map(|r| r.ts);
+    if let (Some(start), Some(last)) = (start_ts, trace.requests.last()) {
+        metrics.duration_secs = last.ts.saturating_sub(start).as_secs_f64();
+    }
+
+    if let Some(obs) = obs {
+        if warmup_evictions > 0 {
+            obs.counter_add("sim.warmup_evictions", warmup_evictions);
+        }
+        obs.gauge_set("sim.peak_metadata_bytes", peak_meta as f64);
+        // The one wall-clock quantity; zeroed under the determinism
+        // contract so fixed-seed exports stay byte-identical.
+        obs.gauge_set(
+            "sim.wall_secs",
+            if obs.deterministic() { 0.0 } else { wall_secs },
+        );
+    }
+
+    SimResult {
+        policy: String::new(),
+        trace: trace.name.clone(),
+        metrics,
+        series: Vec::new(),
+        wall_secs,
+        peak_metadata_bytes: peak_meta,
+        evictions,
     }
 }
 
