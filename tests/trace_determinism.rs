@@ -9,7 +9,8 @@ use lhr_repro::obs::slo::SloObjective;
 use lhr_repro::obs::{Obs, ObsConfig, ObsRecord, ObsWindow};
 use lhr_repro::policies::Lru;
 use lhr_repro::proto::{
-    presets, EngineConfig, FleetConfig, FleetEngine, NodeFaultConfig, ShardedEngine,
+    presets, CdnServer, EngineConfig, FleetConfig, FleetEngine, NodeFaultConfig, ServerConfig,
+    ShardedEngine,
 };
 use lhr_repro::sim::shard::RouteConfig;
 use lhr_repro::trace::synth::{IrmConfig, SizeModel};
@@ -90,6 +91,51 @@ fn dissect(jsonl: &str) -> (Vec<lhr_repro::obs::TraceRecord>, usize, usize) {
     }
     let exemplars = traces.iter().filter(|t| t.exemplar).count();
     (traces, exemplars, slo_events)
+}
+
+/// `CdnServer::replay` is the one-shard case of the engine, and a trace
+/// links to the window its request was credited to on both paths — also
+/// a trace sampled on the request that closes a window.
+#[test]
+fn server_and_one_shard_engine_stamp_traces_with_the_same_windows() {
+    let trace = zipf_trace(11);
+    let obs_config = ObsConfig {
+        window: ObsWindow::Requests(500),
+        deterministic: true,
+        trace_sample: 1,
+        ..ObsConfig::default()
+    };
+    let server = ServerConfig {
+        deterministic: true,
+        ..presets::fault_preset("flaky", 7, trace.duration().as_secs_f64())
+            .expect("known fault preset")
+    };
+    let server_obs = Obs::new(obs_config.clone());
+    CdnServer::new(Lru::new(2 << 20), server.clone())
+        .with_obs(server_obs.clone())
+        .replay(&trace);
+    let engine_obs = Obs::new(obs_config);
+    ShardedEngine::new(EngineConfig {
+        total_capacity: 2 << 20,
+        n_shards: 1,
+        route: RouteConfig::default(),
+        server,
+    })
+    .with_obs(engine_obs.clone())
+    .replay(&trace, |_shard, capacity, _obs| Lru::new(capacity));
+    let windows =
+        |obs: &Obs| -> Vec<(u64, u64)> { obs.traces().iter().map(|t| (t.id, t.window)).collect() };
+    let (server_windows, engine_windows) = (windows(&server_obs), windows(&engine_obs));
+    assert_eq!(server_windows.len(), trace.len(), "every request is traced");
+    assert_eq!(server_windows.len(), engine_windows.len());
+    let first_difference = server_windows
+        .iter()
+        .zip(&engine_windows)
+        .find(|(server, engine)| server != engine);
+    assert_eq!(
+        first_difference, None,
+        "first trace (id, window) the server and the engine stamp differently"
+    );
 }
 
 #[test]
