@@ -59,7 +59,8 @@ fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Every policy in the crate plus LHR itself, bare `handle()` loop.
-    let policies: Vec<(&str, Box<dyn Fn() -> Box<dyn CachePolicy>>)> = vec![
+    type Build = Box<dyn Fn() -> Box<dyn CachePolicy>>;
+    let policies: Vec<(&str, Build)> = vec![
         ("LRU", Box::new(move || Box::new(Lru::new(capacity)))),
         ("FIFO", Box::new(move || Box::new(Fifo::new(capacity)))),
         (

@@ -76,126 +76,97 @@ impl OfflineBound for ExactOpt {
         let requests: Vec<usize> = trace.iter().map(|r| index_of[&r.id]).collect();
         let next_use = next_use_indices(trace);
 
-        // DP over (request index, cache bitmask) → max hits from here on.
-        // Masks always satisfy the capacity constraint.
-        let mut memo: HashMap<(usize, u64), u64> = HashMap::new();
-        let total_size = |mask: u64| -> u64 {
-            let mut sum = 0;
-            let mut m = mask;
-            while m != 0 {
-                let bit = m.trailing_zeros() as usize;
-                sum += sizes[bit];
-                m &= m - 1;
-            }
-            sum
-        };
-
-        // Recursive search with an explicit stack-free memoized recursion
-        // (trace lengths are tiny, plain recursion is fine).
-        fn solve(
-            i: usize,
-            mask: u64,
-            requests: &[usize],
-            sizes: &[u64],
-            next_use: &[u64],
-            capacity: u64,
-            total_size: &dyn Fn(u64) -> u64,
-            memo: &mut HashMap<(usize, u64), u64>,
-        ) -> u64 {
-            if i == requests.len() {
-                return 0;
-            }
-            // Canonicalize: drop objects never used again — they cannot
-            // contribute hits, so discarding them is always optimal and
-            // shrinks the state space.
-            let mut mask = mask;
-            {
-                let mut m = mask;
-                while m != 0 {
-                    let bit = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let obj_used_later = (i..requests.len()).any(|j| requests[j] == bit);
-                    if !obj_used_later {
-                        mask &= !(1u64 << bit);
-                    }
-                }
-            }
-            if let Some(&v) = memo.get(&(i, mask)) {
-                return v;
-            }
-            let obj = requests[i];
-            let bit = 1u64 << obj;
-            let best = if mask & bit != 0 {
-                // Hit; the object may stay or be dropped afterwards (the
-                // canonicalization will drop it if useless).
-                1 + solve(
-                    i + 1,
-                    mask,
-                    requests,
-                    sizes,
-                    next_use,
-                    capacity,
-                    total_size,
-                    memo,
-                )
-            } else {
-                // Miss: choose any subset of current contents to keep such
-                // that the new object fits (or bypass it). Enumerate
-                // subsets of the (tiny) mask.
-                let mut best = solve(
-                    i + 1,
-                    mask,
-                    requests,
-                    sizes,
-                    next_use,
-                    capacity,
-                    total_size,
-                    memo,
-                ); // bypass
-                if sizes[obj] <= capacity && next_use[i] != NEVER {
-                    // Admission: iterate subsets of mask to keep.
-                    let mut keep = mask;
-                    loop {
-                        if total_size(keep) + sizes[obj] <= capacity {
-                            let v = solve(
-                                i + 1,
-                                keep | bit,
-                                requests,
-                                sizes,
-                                next_use,
-                                capacity,
-                                total_size,
-                                memo,
-                            );
-                            best = best.max(v);
-                        }
-                        if keep == 0 {
-                            break;
-                        }
-                        keep = (keep - 1) & mask;
-                    }
-                }
-                best
-            };
-            memo.insert((i, mask), best);
-            best
-        }
-
-        let hits = solve(
-            0,
-            0,
-            &requests,
-            &sizes,
-            &next_use,
+        let hits = Search {
+            requests: &requests,
+            sizes: &sizes,
+            next_use: &next_use,
             capacity,
-            &total_size,
-            &mut memo,
-        );
+            memo: HashMap::new(),
+        }
+        .solve(0, 0);
         metrics.hits = hits;
         metrics.misses_admitted = metrics.requests - hits;
         // Byte hits are not tracked by the DP (hit identity is ambiguous
         // among equal-value solutions); leave at zero.
         metrics
+    }
+}
+
+/// DP over (request index, cache bitmask) → max hits from there on, for
+/// dense object ids. Masks always satisfy the capacity constraint.
+struct Search<'a> {
+    requests: &'a [usize],
+    sizes: &'a [u64],
+    next_use: &'a [u64],
+    capacity: u64,
+    memo: HashMap<(usize, u64), u64>,
+}
+
+impl Search<'_> {
+    fn total_size(&self, mask: u64) -> u64 {
+        let mut sum = 0;
+        let mut m = mask;
+        while m != 0 {
+            let bit = m.trailing_zeros() as usize;
+            sum += self.sizes[bit];
+            m &= m - 1;
+        }
+        sum
+    }
+
+    /// Memoized recursion (trace lengths are tiny, plain recursion is
+    /// fine).
+    fn solve(&mut self, i: usize, mask: u64) -> u64 {
+        let requests = self.requests;
+        if i == requests.len() {
+            return 0;
+        }
+        // Canonicalize: drop objects never used again — they cannot
+        // contribute hits, so discarding them is always optimal and
+        // shrinks the state space.
+        let mut mask = mask;
+        {
+            let mut m = mask;
+            while m != 0 {
+                let bit = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let obj_used_later = (i..requests.len()).any(|j| requests[j] == bit);
+                if !obj_used_later {
+                    mask &= !(1u64 << bit);
+                }
+            }
+        }
+        if let Some(&v) = self.memo.get(&(i, mask)) {
+            return v;
+        }
+        let obj = requests[i];
+        let bit = 1u64 << obj;
+        let best = if mask & bit != 0 {
+            // Hit; the object may stay or be dropped afterwards (the
+            // canonicalization will drop it if useless).
+            1 + self.solve(i + 1, mask)
+        } else {
+            // Miss: choose any subset of current contents to keep such
+            // that the new object fits (or bypass it). Enumerate subsets
+            // of the (tiny) mask.
+            let mut best = self.solve(i + 1, mask); // bypass
+            if self.sizes[obj] <= self.capacity && self.next_use[i] != NEVER {
+                // Admission: iterate subsets of mask to keep.
+                let mut keep = mask;
+                loop {
+                    if self.total_size(keep) + self.sizes[obj] <= self.capacity {
+                        best = best.max(self.solve(i + 1, keep | bit));
+                    }
+                    if keep == 0 {
+                        break;
+                    }
+                    keep = (keep - 1) & mask;
+                }
+            }
+            best
+        };
+        self.memo.insert((i, mask), best);
+        best
     }
 }
 

@@ -8,7 +8,7 @@ use crate::window::WindowData;
 /// rank-frequency data. Returns `(alpha, log_a)`; `alpha` is the estimated
 /// Zipf exponent. Complexity O(N log N) for the rank sort, O(N) for the
 /// fit (the paper quotes O(N) assuming counts are already ranked).
-pub fn estimate_zipf_alpha(counts: &mut Vec<u32>) -> (f64, f64) {
+pub fn estimate_zipf_alpha(counts: &mut [u32]) -> (f64, f64) {
     counts.sort_unstable_by(|a, b| b.cmp(a));
     if counts.len() < 2 {
         return (0.0, 0.0);
@@ -151,8 +151,8 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert_eq!(estimate_zipf_alpha(&mut vec![]), (0.0, 0.0));
-        assert_eq!(estimate_zipf_alpha(&mut vec![5]), (0.0, 0.0));
+        assert_eq!(estimate_zipf_alpha(&mut []), (0.0, 0.0));
+        assert_eq!(estimate_zipf_alpha(&mut [5]), (0.0, 0.0));
     }
 
     #[test]

@@ -396,8 +396,9 @@ mod avx512 {
                 code_v[b] = _mm512_loadu_si512(col.as_ptr().add(b * BLOCK) as *const _);
                 miss[b] = _mm512_cmpeq_epi8_mask(code_v[b], missv);
             }
-            for pi in lo as usize..hi as usize {
-                let cutv = _mm512_set1_epi8(cuts[pi] as i8);
+            let (lo, hi) = (lo as usize, hi as usize);
+            for (pi, &cut) in (lo..hi).zip(&cuts[lo..hi]) {
+                let cutv = _mm512_set1_epi8(cut as i8);
                 let dl = if forest.preds[pi].default_left {
                     !0u64
                 } else {

@@ -422,7 +422,7 @@ mod tests {
         let b = Binned::build(&d);
         for r in 0..40 {
             match r % 4 {
-                0 | 1 | 2 => assert_eq!(b.code(r, 0), MISSING_BIN, "row {r}"),
+                0..=2 => assert_eq!(b.code(r, 0), MISSING_BIN, "row {r}"),
                 _ => assert_ne!(b.code(r, 0), MISSING_BIN, "row {r}"),
             }
         }

@@ -243,9 +243,9 @@ mod tests {
             .expect("training thresholds are bin edges");
         let mut out = vec![0f32; data.n_rows()];
         bitset.score_range(&cache.binned, &cuts, 0.25, 0, &mut out);
-        for r in 0..data.n_rows() {
+        for (r, scored) in out.iter().enumerate() {
             let single = model.flat().predict_row(data.row(r), 0.25);
-            assert_eq!(out[r].to_bits(), single.to_bits(), "row {r}");
+            assert_eq!(scored.to_bits(), single.to_bits(), "row {r}");
         }
     }
 }

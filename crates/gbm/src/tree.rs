@@ -199,7 +199,7 @@ impl Tree {
         threads: usize,
         gains: &mut [f64],
         scratch: &mut TreeScratch,
-        mut preds: Option<&mut [f32]>,
+        preds: Option<&mut [f32]>,
     ) -> Tree {
         debug_assert_eq!(feature_mask.len(), binned.n_features);
         let mut tree = Tree { nodes: Vec::new() };
@@ -227,7 +227,7 @@ impl Tree {
             None,
             gains,
             scratch,
-            preds.as_deref_mut(),
+            preds,
         );
         tree
     }
@@ -915,9 +915,9 @@ mod tests {
             &mut scratch,
             Some(&mut preds),
         );
-        for i in 0..d.n_rows() {
+        for (i, pred) in preds.iter().enumerate() {
             assert_eq!(
-                preds[i].to_bits(),
+                pred.to_bits(),
                 tree.predict(d.row(i)).to_bits(),
                 "row {i} diverged"
             );

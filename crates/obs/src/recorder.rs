@@ -300,11 +300,7 @@ impl Obs {
     /// Merges a locally-accumulated histogram into the named one.
     pub fn hist_merge(&self, name: &str, hist: &LogHistogram) {
         let mut inner = self.inner.lock();
-        inner
-            .hists
-            .entry(name.to_string())
-            .or_insert_with(LogHistogram::new)
-            .merge(hist);
+        inner.hists.entry(name.to_string()).or_default().merge(hist);
     }
 
     /// Appends completed windows from a [`crate::series::SeriesAcc`].
@@ -445,11 +441,7 @@ impl Obs {
             inner.gauges.insert(k, v);
         }
         for (k, h) in hists {
-            inner
-                .hists
-                .entry(k)
-                .or_insert_with(LogHistogram::new)
-                .merge(&h);
+            inner.hists.entry(k).or_default().merge(&h);
         }
         inner.spans.absorb_records(&span_records);
     }

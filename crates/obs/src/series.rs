@@ -853,7 +853,7 @@ mod tests {
             acc.on_request(ReqSample::hit(i * 1_000_000, 10));
         }
         let windows = acc.finish();
-        assert_eq!(merge_windows(&[windows.clone()]), windows);
+        assert_eq!(merge_windows(std::slice::from_ref(&windows)), windows);
     }
 
     #[test]

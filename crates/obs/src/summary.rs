@@ -478,7 +478,7 @@ mod tests {
         for i in 0..4u64 {
             acc.on_request(ReqSample::hit(i, 100));
             let w = acc.last_index();
-            let b = crate::trace::TraceBuilder::new(i, i * 10, (i as u64) * 1_000_000, 100);
+            let b = crate::trace::TraceBuilder::new(i, i * 10, i * 1_000_000, 100);
             obs.push_trace(b.finish(1.0 + i as f64, w));
         }
         obs.push_windows(acc.finish());

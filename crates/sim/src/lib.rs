@@ -7,7 +7,9 @@
 //! - [`policy::CachePolicy`] — the admission + eviction interface every
 //!   online cache implements.
 //! - [`engine::Simulator`] — drives a trace through a policy, collecting
-//!   [`metrics::SimMetrics`] and optional hit-ratio time series.
+//!   [`metrics::SimMetrics`] and optional hit-ratio time series. It is the
+//!   one-shard case of the sharded simulator: both run the same per-shard
+//!   replay step and end-of-run finish.
 //! - [`shard`] — the thread-parallel replay driver: key-hash sharding,
 //!   bounded-channel routing to worker-owned shards, and the
 //!   [`shard::ShardedSimulator`] whose merged reports are byte-identical

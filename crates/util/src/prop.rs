@@ -44,8 +44,11 @@ pub const DEFAULT_SEED: u64 = 0xC0FF_EE00_D15E_A5E5;
 /// proposes strictly "simpler" candidates for a failing value.
 pub struct Gen<T> {
     sample: Rc<dyn Fn(&mut Xoshiro256pp) -> T>,
-    shrink: Rc<dyn Fn(&T) -> Vec<T>>,
+    shrink: Shrinker<T>,
 }
+
+/// Proposes simpler candidates for a failing value.
+type Shrinker<T> = Rc<dyn Fn(&T) -> Vec<T>>;
 
 impl<T> Clone for Gen<T> {
     fn clone(&self) -> Self {

@@ -24,10 +24,8 @@ cargo test -q --doc --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy (lhr-proto, lhr-sim; warnings are errors)"
-# --no-deps lints exactly these two crates, not the workspace crates they
-# depend on.
-cargo clippy --offline --no-deps -p lhr-proto -p lhr-sim -- -D warnings
+echo "==> cargo clippy (whole workspace, all targets; warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> gbm bench smoke (tiny scale)"
 LHR_BENCH_WARMUP_MS=20 LHR_BENCH_MEASURE_MS=100 \
@@ -75,6 +73,15 @@ cargo run --release --offline -p lhr-cli -- server \
   "$smoke_dir/t.csv" > /dev/null
 cmp "$smoke_dir/r1.json" "$smoke_dir/r4.json"
 cmp "$smoke_dir/e1.jsonl" "$smoke_dir/e4.jsonl"
+
+echo "==> sharded-simulator determinism smoke (simulate --threads 1 vs 4)"
+for t in 1 4; do
+  cargo run --release --offline -p lhr-cli -- simulate \
+    --policy LHR --capacity 1MB --threads "$t" \
+    --obs "$smoke_dir/s$t.jsonl" --obs-window 100r --obs-deterministic true \
+    "$smoke_dir/t.csv" > /dev/null
+done
+cmp "$smoke_dir/s1.jsonl" "$smoke_dir/s4.jsonl"
 
 echo "==> shadow-retrain determinism smoke (N-LHR, --threads 1 vs 4)"
 # N-LHR retrains every window, and background_retrain (the default) runs

@@ -45,7 +45,8 @@ fn record_sim(build: &dyn Fn(&Obs) -> Box<dyn CachePolicy>) -> String {
 
 #[test]
 fn fixed_seed_deterministic_recordings_are_byte_identical() {
-    let builders: Vec<(&str, Box<dyn Fn(&Obs) -> Box<dyn CachePolicy>>)> = vec![
+    type Build = Box<dyn Fn(&Obs) -> Box<dyn CachePolicy>>;
+    let builders: Vec<(&str, Build)> = vec![
         (
             "LRU",
             Box::new(|_: &Obs| -> Box<dyn CachePolicy> { Box::new(Lru::new(200_000)) }),

@@ -470,7 +470,8 @@ fn hit_check_overrides_match_default_path_byte_identically() {
     prop_check!(cases: 12, (len in range(200usize..1_500), seed in any_u64(), cap_factor in range(2u64..24)) => {
         let trace = build_trace(len, seed);
         let capacity = cap_factor * 50;
-        let builders: Vec<(&str, Box<dyn Fn() -> Box<dyn CachePolicy>>)> = vec![
+        type Build = Box<dyn Fn() -> Box<dyn CachePolicy>>;
+        let builders: Vec<(&str, Build)> = vec![
             ("LRU", Box::new(move || Box::new(Lru::new(capacity)))),
             ("SLRU", Box::new(move || Box::new(slru(capacity)))),
             ("S4LRU", Box::new(move || Box::new(s4lru(capacity)))),
